@@ -26,9 +26,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.obs import metrics
 from repro.serve import (IVFIndex, LSHIndex, Recommender, bench_retrieval,
-                         render_retrieval, synthetic_catalog,
-                         synthetic_queries)
+                         render_retrieval, scenario_counters,
+                         synthetic_catalog, synthetic_queries)
 
 from .conftest import emit
 
@@ -155,8 +156,13 @@ def test_ann_serving_path_end_to_end(benchmark):
              for t, a in zip(truths, answers)]))
         return overlap, exact_s / approx_s
 
+    def ann_batches() -> int:
+        rows = scenario_counters(metrics.render_prometheus(), ["default"])
+        return rows["default"]["retrieval"]["ann_batches"]
+
+    before = ann_batches()
     recall, speedup = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert approx.retrieval_stats.ann_batches == len(histories)
+    assert ann_batches() - before == len(histories)
     assert recall >= 0.95
     if not _skip_perf_assert:
         assert speedup >= 1.5      # routed path, per-request accounting

@@ -469,7 +469,8 @@ def _cmd_serve(args) -> int:
             # Capture routing counters before the out-of-band
             # verification call below inflates them: the printed
             # numbers describe the HTTP-served traffic only.
-            routing = scenario.recommender.describe_retrieval()
+            name = f"{scenario.spec.dataset}:{scenario.spec.model}"
+            routing = service.stats()["scenarios"][name]["retrieval"]
             expected = scenario.recommender.recommend(history, k=10)
             ok = np.array_equal(payload["items"], expected.items)
             failures += 0 if ok else 1

@@ -68,6 +68,17 @@ def _render_labels(label_key: tuple, extra: tuple = ()) -> str:
     return "{" + body + "}"
 
 
+def _number(value: float) -> str:
+    """Shortest exact rendering of a sample value.
+
+    ``format(v, "g")`` keeps six significant digits, so a counter past
+    10^6 would render rounded; ``repr`` round-trips every float, and
+    integral values drop the trailing ``.0``.
+    """
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _escape(value: str) -> str:
     return (str(value).replace("\\", r"\\").replace('"', r'\"')
             .replace("\n", r"\n"))
@@ -161,6 +172,13 @@ class Gauge(_Instrument):
             return
         with self._lock:
             self._value += value
+
+    def set_max(self, value: float) -> None:
+        """Raise the value to ``value`` if higher (a high-water mark)."""
+        if not self._on() or value <= self._value:
+            return
+        with self._lock:
+            self._value = max(self._value, float(value))
 
     def set_function(self, fn) -> None:
         """Read ``fn()`` at collection time instead of the stored value."""
@@ -394,14 +412,14 @@ class MetricsRegistry:
                         lines.append(
                             f"{name}_bucket"
                             f"{_render_labels(inst.label_key, extra)} "
-                            f"{value:g}")
+                            f"{_number(value)}")
                     snap = inst.snapshot()
                     tag = _render_labels(inst.label_key)
-                    lines.append(f"{name}_sum{tag} {snap.sum:g}")
-                    lines.append(f"{name}_count{tag} {snap.total:g}")
+                    lines.append(f"{name}_sum{tag} {_number(snap.sum)}")
+                    lines.append(f"{name}_count{tag} {_number(snap.total)}")
                 else:
                     lines.append(f"{name}{_render_labels(inst.label_key)} "
-                                 f"{inst.value:g}")
+                                 f"{_number(inst.value)}")
         return "\n".join(lines) + "\n"
 
     def snapshot(self) -> dict:
@@ -614,5 +632,5 @@ def merge_expositions(texts: list[str]) -> str:
             lines.append(f"# HELP {family} {helps[family]}")
         lines.append(f"# TYPE {family} {kinds[family]}")
         for name, labels in rows.get(family, []):
-            lines.append(f"{name}{labels} {values[(name, labels)]:g}")
+            lines.append(f"{name}{labels} {_number(values[(name, labels)])}")
     return "\n".join(lines) + "\n"

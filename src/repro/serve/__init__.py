@@ -23,7 +23,7 @@ See ``docs/serving.md`` for the architecture and the endpoint contract.
 
 from .ann import (ANN_KINDS, AnnIndex, AnnSearch, IVFIndex, LSHIndex,
                   make_ann_index)
-from .batcher import BatcherClosed, BatcherStats, LRUCache, MicroBatcher
+from .batcher import BatcherClosed, LRUCache, MicroBatcher
 from .bench import (BenchReport, KeepAliveClient, RetrievalReport,
                     bench_full_sort_path, bench_pool_scaling,
                     bench_retrieval, bench_topk_path, compare_paths,
@@ -32,11 +32,11 @@ from .bench import (BenchReport, KeepAliveClient, RetrievalReport,
                     synthetic_catalog, synthetic_queries)
 from .http import RecommendationServer, make_server, serve_forever
 from .index import CatalogIndex, FrozenCatalogIndex
-from .recommender import Recommendation, Recommender, RetrievalStats
+from .recommender import Recommendation, Recommender
 from .registry import ModelRegistry, Scenario, ScenarioSpec, build_model
 from .scoring import (batch_scorer, encode_queries, model_max_len,
                       score_batch, supports_kernel)
-from .service import RecommendationService
+from .service import RecommendationService, scenario_counters
 
 # After .service: the pool builds on the in-process service and would
 # otherwise form an import cycle through the package root.
@@ -49,10 +49,10 @@ __all__ = [
     "CatalogIndex", "FrozenCatalogIndex",
     "ANN_KINDS", "AnnIndex", "AnnSearch", "IVFIndex", "LSHIndex",
     "make_ann_index",
-    "Recommendation", "Recommender", "RetrievalStats",
-    "MicroBatcher", "LRUCache", "BatcherStats", "BatcherClosed",
+    "Recommendation", "Recommender",
+    "MicroBatcher", "LRUCache", "BatcherClosed",
     "ModelRegistry", "Scenario", "ScenarioSpec", "build_model",
-    "RecommendationService",
+    "RecommendationService", "scenario_counters",
     "PooledRecommendationService", "WorkerPool", "SharedCatalogStore",
     "PoolError", "WorkerDied",
     "RecommendationServer", "make_server", "serve_forever",

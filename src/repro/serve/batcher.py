@@ -23,7 +23,7 @@ import numpy as np
 from ..obs import metrics, trace
 from .recommender import Recommendation, Recommender
 
-__all__ = ["BatcherClosed", "BatcherStats", "LRUCache", "MicroBatcher"]
+__all__ = ["BatcherClosed", "LRUCache", "MicroBatcher"]
 
 
 class BatcherClosed(RuntimeError):
@@ -34,30 +34,6 @@ class BatcherClosed(RuntimeError):
     swapped out) from real runtime errors, and transparently retry
     against the replacement batcher instead of dropping the request.
     """
-
-
-@dataclass
-class BatcherStats:
-    """Counters for capacity tuning (exposed on the ``/stats`` endpoint)."""
-
-    requests: int = 0
-    batches: int = 0
-    size_flushes: int = 0
-    timeout_flushes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    largest_batch: int = 0
-
-    def to_json(self) -> dict:
-        out = dict(self.__dict__)
-        out["mean_batch"] = (self.coalesced / self.batches
-                             if self.batches else 0.0)
-        return out
-
-    @property
-    def coalesced(self) -> int:
-        """Requests that went through a flushed batch (misses only)."""
-        return self.cache_misses
 
 
 class LRUCache:
@@ -125,11 +101,9 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
         self.cache = LRUCache(cache_size)
-        self.stats = BatcherStats()
-        # BatcherStats stays the per-instance truth (tests and /stats
-        # count one batcher generation); the registry instruments are
-        # the Prometheus view, scenario-labeled so counters continue
-        # monotonically across hot-swap generations of the same key.
+        # The registry instruments are the only accounting: /stats and
+        # /metrics both read them. Scenario-labeled, so every hot-swap
+        # generation of a key keeps counting on the same series.
         scope = {"scenario": metrics_label or "default"}
         self._m_requests = metrics.counter(
             "repro_serve_batcher_requests_total",
@@ -142,6 +116,9 @@ class MicroBatcher:
         self._m_batch_size = metrics.histogram(
             "repro_serve_batch_size", "requests coalesced per flush",
             labels=scope, start=1.0, factor=2 ** 0.25)
+        self._m_largest = metrics.gauge(
+            "repro_serve_batch_size_max", "largest flush so far (high-water)",
+            labels=scope)
         self._m_flushes = {
             kind: metrics.counter("repro_serve_flushes_total",
                                   "batch flushes by trigger",
@@ -170,7 +147,6 @@ class MicroBatcher:
         with self._cond:
             if self._closed:
                 raise BatcherClosed("MicroBatcher is closed")
-            self.stats.requests += 1
             self._m_requests.inc()
             # A stale index means the current version number still names
             # the pre-update snapshot: bypass the cache so the flush
@@ -178,14 +154,12 @@ class MicroBatcher:
             hit = (None if getattr(self.recommender, "index_stale", False)
                    else self.cache.get(key))
             if hit is not None:
-                self.stats.cache_hits += 1
                 self._m_cache["hit"].inc()
                 future: Future = Future()
                 future.set_result(Recommendation(
                     items=hit.items, scores=hit.scores,
                     index_version=hit.index_version, cached=True))
                 return future
-            self.stats.cache_misses += 1
             self._m_cache["miss"].inc()
             request = _Pending(history=history, k=k, key=key, trace=ctx)
             if ctx is not None:
@@ -222,14 +196,9 @@ class MicroBatcher:
     def _execute(self, batch: list[_Pending], trigger: str) -> None:
         if not batch:
             return
-        self.stats.batches += 1
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        if trigger == "size":
-            self.stats.size_flushes += 1
-        else:
-            self.stats.timeout_flushes += 1
         self._m_flushes[trigger].inc()
         self._m_batch_size.observe(float(len(batch)))
+        self._m_largest.set_max(len(batch))
         now_mono = time.monotonic()
         for pending in batch:
             self._m_queue_wait.observe(now_mono - pending.enqueued)

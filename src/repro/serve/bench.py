@@ -18,6 +18,7 @@ from ..nn.ops import topk
 from ..obs import metrics
 from .ann import AnnIndex
 from .recommender import Recommender
+from .service import scenario_counters
 
 __all__ = ["BenchReport", "bench_topk_path", "bench_full_sort_path",
            "compare_paths", "request_stream", "render_comparison",
@@ -75,6 +76,12 @@ def _report(name: str, latencies_s: list[float], requests: int,
         qps=requests / total_s if total_s > 0 else float("inf"))
 
 
+def _routing(label: str) -> dict:
+    """One scenario label's routing counts, as ``/metrics`` reports them."""
+    rows = scenario_counters(metrics.render_prometheus(), [label])
+    return rows[label]["retrieval"]
+
+
 def bench_topk_path(recommender: Recommender, histories: list[np.ndarray],
                     k: int = 10, batch_size: int = 32) -> BenchReport:
     """The serving path: micro-batched scoring + argpartition top-k.
@@ -87,9 +94,8 @@ def bench_topk_path(recommender: Recommender, histories: list[np.ndarray],
     ``mixed``, and on all of them ``exact-fallback``, so the table never
     attributes exact-path numbers to an index that was not consulted.
     """
-    stats = getattr(recommender, "retrieval_stats", None)
-    ann_before = stats.ann_batches if stats is not None else 0
-    exact_before = stats.exact_batches if stats is not None else 0
+    label = recommender.metrics_label
+    before = _routing(label)
     latencies: list[float] = []
     start = time.perf_counter()
     for lo in range(0, len(histories), batch_size):
@@ -103,8 +109,9 @@ def bench_topk_path(recommender: Recommender, histories: list[np.ndarray],
     if retrieval == "exact":
         tag = ""
     else:
-        ann_used = stats is not None and stats.ann_batches > ann_before
-        exact_used = stats is not None and stats.exact_batches > exact_before
+        after = _routing(label)
+        ann_used = after["ann_batches"] > before["ann_batches"]
+        exact_used = after["exact_batches"] > before["exact_batches"]
         if ann_used and not exact_used:
             tag = f"-{retrieval}"
         elif ann_used:

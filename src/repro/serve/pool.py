@@ -54,7 +54,7 @@ from ..obs import metrics
 from .batcher import MicroBatcher
 from .index import FrozenCatalogIndex
 from .registry import ModelRegistry, Scenario
-from .service import SelfMonitoring
+from .service import SelfMonitoring, scenario_counters
 
 __all__ = ["PoolError", "WorkerDied", "SharedCatalogStore", "WorkerPool",
            "PooledRecommendationService"]
@@ -294,16 +294,17 @@ def _flip(registry: ModelRegistry, state: _WorkerScenario, segment_name: str,
 
 
 def _worker_stats(states: dict) -> dict:
-    out: dict = {"pid": os.getpid(), "scenarios": {}}
-    for (dataset, model), state in states.items():
-        counters = state.batcher.stats.to_json()
-        counters.update(
-            generation=state.generation,
-            index_version=state.version,
-            queue_depth=state.batcher.queue_depth,
-            retrieval=state.recommender.describe_retrieval())
-        out["scenarios"][f"{dataset}:{model}"] = counters
-    return out
+    """This worker's ``/stats`` rows: its own exposition plus live state."""
+    names = {f"{dataset}:{model}": state
+             for (dataset, model), state in states.items()}
+    rows = scenario_counters(metrics.render_prometheus(), names)
+    for name, row in rows.items():
+        state = names[name]
+        row.update(generation=state.generation, index_version=state.version,
+                   queue_depth=state.batcher.queue_depth)
+        row["retrieval"] = {**state.recommender.describe_retrieval(),
+                            **row["retrieval"]}
+    return {"pid": os.getpid(), "scenarios": rows}
 
 
 def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
@@ -418,7 +419,6 @@ class _WorkerHandle:
         self.pending: dict[int, Future] = {}
         self.control: dict[str, Future] = {}
         self.alive = True
-        self.requests = 0
         self.reader: threading.Thread | None = None
 
     def inflight(self) -> int:
@@ -612,7 +612,6 @@ class WorkerPool:
                 if not handle.alive:
                     continue
                 handle.pending[req_id] = future
-                handle.requests += 1
             try:
                 with handle.send_lock:
                     handle.conn.send(("req", req_id, key, history, k))
@@ -744,14 +743,18 @@ class WorkerPool:
                     pass
         per_worker = []
         for handle in self._workers:
+            # A worker's request count is the sum of its scenario rows,
+            # read from its own exposition; a silent worker reports 0.
             entry = {"worker": handle.id, "pid": handle.process.pid,
-                     "alive": handle.alive, "requests": handle.requests,
+                     "alive": handle.alive, "requests": 0,
                      "inflight": handle.inflight()}
             future = waits.get(handle.id)
             if future is not None:
                 try:
                     data = future.result(timeout=timeout)
                     entry["scenarios"] = data["scenarios"]
+                    entry["requests"] = sum(
+                        row["requests"] for row in data["scenarios"].values())
                 except (WorkerDied, TimeoutError):
                     entry["alive"] = handle.alive
             per_worker.append(entry)
@@ -822,19 +825,13 @@ class PooledRecommendationService(SelfMonitoring):
                  max_batch: int = 32, max_wait_ms: float = 2.0,
                  cache_size: int = 1024, batching: bool = True,
                  fence_timeout_s: float = 60.0):
-        self.registry = registry
-        self.workers = workers
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.cache_size = cache_size
-        self.batching = batching
-        self.stream = None
-        self.pool = WorkerPool(registry, workers=workers, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms, cache_size=cache_size,
-                               batching=batching,
-                               fence_timeout_s=fence_timeout_s)
-        self._latency: dict[tuple[str, str], metrics.Histogram] = {}
-        self._closed = False
+        super().__init__(registry, max_batch=max_batch,
+                         max_wait_ms=max_wait_ms, cache_size=cache_size,
+                         batching=batching)
+        self.pool = WorkerPool(registry, workers=workers,
+                               fence_timeout_s=fence_timeout_s,
+                               **self.settings)
+        self.settings["workers"] = workers
 
     @property
     def shm_prefix(self) -> str:
@@ -851,15 +848,7 @@ class PooledRecommendationService(SelfMonitoring):
         payload = self.pool.recommend(
             (dataset, model), [int(item) for item in history], int(k))
         elapsed = time.perf_counter() - start
-        key = (dataset, model)
-        hist = self._latency.get(key)
-        if hist is None:
-            hist = metrics.histogram(
-                "repro_serve_request_seconds",
-                "end-to-end recommend() latency",
-                labels={"scenario": f"{dataset}:{model}"})
-            self._latency[key] = hist
-        hist.observe(elapsed)
+        self._observe_latency(dataset, model, elapsed)
         payload = dict(payload)
         payload.update(dataset=dataset, model=model, latency_ms=elapsed * 1e3)
         return payload
@@ -871,22 +860,7 @@ class PooledRecommendationService(SelfMonitoring):
         self.publish_generation(scenario)
         return version
 
-    # -- streaming / hot swap ------------------------------------------------
-
-    def attach_stream(self, manager) -> None:
-        self.stream = manager
-
-    def ingest_events(self, dataset: str, model: str, events: list) -> dict:
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.ingest(dataset, model, events)
-
-    def trigger_swap(self, dataset: str, model: str) -> dict:
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.swap(dataset, model)
+    # -- hot swap ------------------------------------------------------------
 
     def publish_generation(self, scenario: Scenario) -> dict:
         """Registry flip + pooled generation fence; returns fence info."""
@@ -897,53 +871,21 @@ class PooledRecommendationService(SelfMonitoring):
         model_changed = previous.model is not scenario.model
         return self.pool.publish(scenario, model_changed=model_changed)
 
-    def retire_batcher(self, key: tuple[str, str]) -> None:
-        """Compatibility shim for pre-fence swap callers.
-
-        The in-process service retires a batcher after ``registry.publish``;
-        the pooled equivalent is a full fence re-publishing whatever the
-        registry currently routes to. Weights are re-shipped because this
-        path carries no model-identity information.
-        """
-        scenario = self.registry.get(*key)
-        self.pool.publish(scenario,
-                          model_changed=hasattr(scenario.model, "state_dict"))
-
     # -- introspection -------------------------------------------------------
 
-    def scenarios(self) -> list[dict]:
-        return self.registry.describe()
-
-    def stats(self) -> dict:
-        """Pool topology + per-scenario counters merged across workers."""
-        pool_stats = self.pool.stats()
-        per_scenario: dict[str, dict] = {}
-        summed = ("requests", "batches", "size_flushes", "timeout_flushes",
-                  "cache_hits", "cache_misses", "queue_depth")
-        for entry in pool_stats["per_worker"]:
-            for name, counters in entry.get("scenarios", {}).items():
-                agg = per_scenario.setdefault(
-                    name, {field: 0 for field in summed} | {"largest_batch": 0})
-                for field in summed:
-                    agg[field] += counters.get(field, 0)
-                agg["largest_batch"] = max(agg["largest_batch"],
-                                           counters.get("largest_batch", 0))
-                agg.setdefault("retrieval", counters.get("retrieval"))
-        for (dataset, model), hist in list(self._latency.items()):
-            if hist.count:
-                entry = per_scenario.setdefault(f"{dataset}:{model}", {})
-                entry["latency_ms"] = hist.snapshot().to_json(scale=1e3)
-        payload = {"scenarios": per_scenario,
-                   "pool": pool_stats,
-                   "swap_race_retries": 0,
-                   "settings": {"max_batch": self.max_batch,
-                                "max_wait_ms": self.max_wait_ms,
-                                "cache_size": self.cache_size,
-                                "batching": self.batching,
-                                "workers": self.workers}}
-        if self.stream is not None:
-            payload["stream"] = self.stream.stats()
-        return payload
+    def _serving_state(self) -> tuple[dict, dict]:
+        """Queue depth summed over workers; retrieval config from one."""
+        topology = self.pool.stats()
+        state: dict[str, tuple[int, dict]] = {}
+        for entry in topology["per_worker"]:
+            for name, row in entry.get("scenarios", {}).items():
+                depth, config = state.get(name, (0, row["retrieval"]))
+                state[name] = (depth + row["queue_depth"], config)
+        for scenario in self.registry:      # no worker answered for it
+            key = scenario.spec.key
+            state.setdefault(f"{key[0]}:{key[1]}",
+                             (0, scenario.recommender.describe_retrieval()))
+        return state, topology
 
     def metrics_text(self) -> str:
         """One merged exposition: the parent's plus every worker's."""
@@ -955,15 +897,6 @@ class PooledRecommendationService(SelfMonitoring):
     def close(self) -> None:
         if self._closed:
             return
-        self._close_monitor()              # stop sampling before teardown
-        stream, self.stream = self.stream, None
-        if stream is not None:
-            stream.close()                 # stop fine-tune workers first
+        self._close_background()
         self._closed = True
         self.pool.close()
-
-    def __enter__(self) -> "PooledRecommendationService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

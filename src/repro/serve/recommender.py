@@ -14,7 +14,9 @@ exact full-catalogue scoring whenever approximate recall would be
 unsafe — tiny catalogues, an ANN structure stale relative to the
 catalogue version, models outside the scoring-kernel protocol, or a
 ``k`` so large the shortlist would approach the whole catalogue — and
-counts every routing decision in :attr:`retrieval_stats`.
+counts every routing decision on the scenario-labeled
+``repro_serve_batches_total`` / ``repro_serve_ann_fallbacks_total``
+counters.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .index import CatalogIndex
 from .scoring import (encode_queries, model_max_len, score_batch,
                       supports_kernel)
 
-__all__ = ["Recommendation", "Recommender", "RetrievalStats",
+__all__ = ["Recommendation", "Recommender", "FALLBACK_REASONS",
            "DEFAULT_MIN_ANN_ITEMS"]
 
 # Per-stage latency histograms, recorded once per *batch* (a handful of
@@ -56,6 +58,10 @@ def _stage(name: str, start: float, end: float,
 #: Below this catalogue size exact scoring is both safer and faster than
 #: any shortlist (one small matmul beats candidate bookkeeping).
 DEFAULT_MIN_ANN_ITEMS = 1024
+
+#: Why an ANN-configured recommender scored a batch exactly instead.
+FALLBACK_REASONS = ("no_kernel", "backend_mismatch", "small_catalog",
+                    "k_near_catalog", "stale_index")
 
 
 @dataclass
@@ -83,37 +89,6 @@ class Recommendation:
                 "cached": self.cached}
 
 
-@dataclass
-class RetrievalStats:
-    """How batches were routed: approximate, exact, or exact-by-fallback."""
-
-    ann_batches: int = 0
-    exact_batches: int = 0
-    fallbacks: dict = field(default_factory=dict)
-
-    def record(self, used_ann: bool, reason: str | None) -> None:
-        if used_ann:
-            self.ann_batches += 1
-            metrics.counter("repro_serve_batches_total",
-                            "scored batches by retrieval path",
-                            labels={"path": "ann"}).inc()
-        else:
-            self.exact_batches += 1
-            metrics.counter("repro_serve_batches_total",
-                            "scored batches by retrieval path",
-                            labels={"path": "exact"}).inc()
-            if reason is not None:
-                self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-                metrics.counter("repro_serve_ann_fallbacks_total",
-                                "exact-scoring fallbacks by reason",
-                                labels={"reason": reason}).inc()
-
-    def to_json(self) -> dict:
-        return {"ann_batches": self.ann_batches,
-                "exact_batches": self.exact_batches,
-                "fallbacks": dict(self.fallbacks)}
-
-
 class Recommender:
     """Session-style top-k retrieval for one (dataset, model) scenario.
 
@@ -127,13 +102,15 @@ class Recommender:
     ANN kind from :data:`repro.serve.ann.ANN_KINDS`; ``ann_params`` are
     forwarded to the backend constructor (``nlist``, ``nprobe``,
     ``bits``, ...). ``min_ann_items`` is the catalogue-size floor below
-    which the ANN path is never taken.
+    which the ANN path is never taken. ``metrics_label`` is the
+    ``scenario`` label of the routing counters (``"default"`` if unset).
     """
 
     def __init__(self, model, dataset, index: CatalogIndex | None = None,
                  exclude_seen: bool = True, index_dtype=None,
                  retrieval: str = "exact", ann_params: dict | None = None,
-                 min_ann_items: int = DEFAULT_MIN_ANN_ITEMS):
+                 min_ann_items: int = DEFAULT_MIN_ANN_ITEMS,
+                 metrics_label: str | None = None):
         self.model = model
         self.dataset = dataset
         self.exclude_seen = exclude_seen
@@ -141,7 +118,20 @@ class Recommender:
         # with the case-insensitive make_ann_index factory.
         self.retrieval = (retrieval or "exact").lower()
         self.min_ann_items = min_ann_items
-        self.retrieval_stats = RetrievalStats()
+        self.metrics_label = metrics_label or "default"
+        scope = {"scenario": self.metrics_label}
+        self._m_batches = {
+            path: metrics.counter("repro_serve_batches_total",
+                                  "scored batches by retrieval path",
+                                  labels={**scope, "path": path})
+            for path in ("ann", "exact")}
+        # Exact retrieval is a choice, never a fallback: bind the reason
+        # series only where they can move.
+        self._m_fallbacks = {} if self.retrieval == "exact" else {
+            reason: metrics.counter("repro_serve_ann_fallbacks_total",
+                                    "exact-scoring fallbacks by reason",
+                                    labels={**scope, "reason": reason})
+            for reason in FALLBACK_REASONS}
         if hasattr(model, "eval"):
             model.eval()
         if index is None and hasattr(model, "encode_catalog"):
@@ -183,10 +173,9 @@ class Recommender:
         return 0 if self.index is None else self.index.refresh()
 
     def describe_retrieval(self) -> dict:
-        """Backend + routing counters for ``/scenarios`` and ``/stats``."""
+        """Backend configuration for ``/scenarios`` and ``/stats``."""
         out = {"retrieval": self.retrieval,
-               "min_ann_items": self.min_ann_items,
-               **self.retrieval_stats.to_json()}
+               "min_ann_items": self.min_ann_items}
         if self.ann is not None:
             out["ann"] = self.ann.describe()
         return out
@@ -334,9 +323,11 @@ class Recommender:
         if use_ann:
             results, reason = self._recommend_ann(histories, k)
             if results is not None:
-                self.retrieval_stats.record(True, None)
+                self._m_batches["ann"].inc()
                 return results
-        self.retrieval_stats.record(False, reason)
+        self._m_batches["exact"].inc()
+        if reason is not None:
+            self._m_fallbacks[reason].inc()
         ctx = trace.current()
         tick = perf_counter()
         raw, version = self._score_snapshot(histories)

@@ -123,11 +123,9 @@ class ModelRegistry:
             model.load_state_dict(load_checkpoint(spec.checkpoint))
         if self.dtype is not None and hasattr(model, "to_dtype"):
             model.to_dtype(self.dtype)
-        recommender = self.build_recommender(model, dataset)
-        scenario = Scenario(spec=spec, dataset=dataset, model=model,
-                            recommender=recommender)
-        if self.warm and recommender.index is not None:
-            recommender.refresh()
+        scenario = self.build_scenario(spec, dataset, model)
+        if self.warm and scenario.recommender.index is not None:
+            scenario.recommender.refresh()
         self._scenarios[spec.key] = scenario
         return scenario
 
@@ -138,34 +136,29 @@ class ModelRegistry:
             specs = [s for s in specs.split(",") if s.strip()]
         return [self.add(spec, seed=seed) for spec in specs]
 
-    def build_recommender(self, model, dataset, index=None) -> Recommender:
-        """One :class:`Recommender` wired with this registry's settings.
-
-        The single place the retrieval configuration (exclude-seen,
-        dtype, ANN backend/knobs) turns into a recommender — used by
-        :meth:`add` and by the hot-swap path (``repro.stream``), so a
-        swapped-in generation can never serve with different retrieval
-        configuration than a freshly loaded one.
-        """
-        extra = ({} if self.min_ann_items is None
-                 else {"min_ann_items": self.min_ann_items})
-        return Recommender(model, dataset, index=index,
-                           exclude_seen=self.exclude_seen,
-                           index_dtype=self.dtype,
-                           retrieval=self.retrieval,
-                           ann_params=self.ann_params, **extra)
-
     def build_scenario(self, spec: ScenarioSpec, dataset, model,
                        index=None) -> Scenario:
         """Assemble a :class:`Scenario` around pre-built parts.
 
-        The counterpart of :meth:`build_recommender` one level up: hot
-        swaps (``repro.stream``) and pool workers (``repro.serve.pool``)
-        bring their own dataset snapshot, model generation and —
-        worker-side — a frozen shared-memory index, but the recommender
-        wiring must still come from this registry's retrieval settings.
+        The single place the retrieval configuration (exclude-seen,
+        dtype, ANN backend/knobs) turns into a recommender — used by
+        :meth:`add`, hot swaps (``repro.stream``) and pool workers
+        (``repro.serve.pool``), so a swapped-in generation can never
+        serve with different retrieval configuration than a freshly
+        loaded one. Swaps and workers bring their own dataset snapshot,
+        model generation and — worker-side — a frozen shared-memory
+        index. The recommender's routing counters carry the scenario
+        label, so every generation of a key counts on the same series.
         """
-        recommender = self.build_recommender(model, dataset, index=index)
+        extra = ({} if self.min_ann_items is None
+                 else {"min_ann_items": self.min_ann_items})
+        recommender = Recommender(model, dataset, index=index,
+                                  exclude_seen=self.exclude_seen,
+                                  index_dtype=self.dtype,
+                                  retrieval=self.retrieval,
+                                  ann_params=self.ann_params,
+                                  metrics_label=f"{spec.dataset}:{spec.model}",
+                                  **extra)
         return Scenario(spec=spec, dataset=dataset, model=model,
                         recommender=recommender)
 
@@ -179,9 +172,9 @@ class ModelRegistry:
         snapshot + recommender whose index is already encoded) off the
         request path, then publishes it here. Routing flips on a single
         dict assignment — requests already scoring against the old
-        generation finish against it; the serving facade retires the old
-        generation's batcher separately (see
-        ``RecommendationService.retire_batcher``). Returns the scenario
+        generation finish against it; the serving facade's
+        ``publish_generation`` calls this and then retires the old
+        generation's batcher (or fences the pool). Returns the scenario
         it replaced, or raises if the key was never loaded (a swap must
         target a serving scenario, not create one).
         """

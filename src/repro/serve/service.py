@@ -26,21 +26,164 @@ from .batcher import BatcherClosed, MicroBatcher
 from .recommender import Recommendation
 from .registry import ModelRegistry, Scenario
 
-__all__ = ["RecommendationService", "SelfMonitoring"]
+__all__ = ["RecommendationService", "SelfMonitoring", "scenario_counters"]
+
+# The /stats field each scenario-labeled series feeds, keyed by the
+# series name and the value of its one other label (None: no other).
+_COUNT_FIELDS = {
+    ("repro_serve_batcher_requests_total", None): "requests",
+    ("repro_serve_cache_total", "hit"): "cache_hits",
+    ("repro_serve_cache_total", "miss"): "cache_misses",
+    ("repro_serve_flushes_total", "size"): "size_flushes",
+    ("repro_serve_flushes_total", "timeout"): "timeout_flushes",
+    ("repro_serve_batch_size_max", None): "largest_batch",
+}
+_ROUTING_FIELDS = {("repro_serve_batches_total", "ann"): "ann_batches",
+                   ("repro_serve_batches_total", "exact"): "exact_batches"}
+_FALLBACKS = "repro_serve_ann_fallbacks_total"
+_FAMILIES = ({name for name, _ in _COUNT_FIELDS}
+             | {name for name, _ in _ROUTING_FIELDS} | {_FALLBACKS})
+
+
+def scenario_counters(exposition: str, scenarios) -> dict[str, dict]:
+    """The per-scenario counter block of ``/stats``, read from ``exposition``.
+
+    Every count ``/stats`` shows comes from here: the in-process
+    service passes its registry render, the pooled parent its merged
+    ``/metrics`` text, and each pool worker its own render. ``/stats``
+    and ``/metrics`` are therefore two views of one registry and cannot
+    disagree. ``scenarios`` names the rows to build (``dataset:model``
+    labels); a row whose series are absent reads all zeros.
+    ``largest_batch`` is a max-merged high-water gauge and
+    ``mean_batch`` is cache misses per flush.
+    """
+    rows = {name: {"requests": 0, "batches": 0, "size_flushes": 0,
+                   "timeout_flushes": 0, "cache_hits": 0,
+                   "cache_misses": 0, "largest_batch": 0,
+                   "retrieval": {"ann_batches": 0, "exact_batches": 0,
+                                 "fallbacks": {}}}
+            for name in scenarios}
+    for (name, label_str), value in \
+            metrics.parse_prometheus(exposition).items():
+        if name not in _FAMILIES:
+            continue
+        labels = metrics.parse_label_string(label_str)
+        row = rows.get(labels.pop("scenario", None))
+        if row is None:
+            continue
+        key = (name, next(iter(labels.values()), None))
+        if key in _COUNT_FIELDS:
+            row[_COUNT_FIELDS[key]] = int(value)
+        elif key in _ROUTING_FIELDS:
+            row["retrieval"][_ROUTING_FIELDS[key]] = int(value)
+        elif name == _FALLBACKS and value:
+            row["retrieval"]["fallbacks"][key[1]] = int(value)
+    for row in rows.values():
+        row["batches"] = row["size_flushes"] + row["timeout_flushes"]
+        row["mean_batch"] = (row["cache_misses"] / row["batches"]
+                             if row["batches"] else 0.0)
+    return rows
 
 
 class SelfMonitoring:
-    """Health/timeline surface shared by both serving tiers.
+    """The surface both serving tiers share.
 
-    Mixed into :class:`RecommendationService` and the pooled service so
-    ``GET /health`` / ``GET /alerts`` / ``GET /timeline`` read the same
-    on every deployment shape. Without :meth:`enable_monitoring` the
-    surface degrades gracefully: ``/health`` stays the legacy
-    unconditional-``ok`` payload, the other endpoints report
-    ``monitoring: false``.
+    :class:`RecommendationService` and the pooled service
+    (``repro.serve.pool``) inherit the batcher settings, the
+    per-scenario request-latency histograms, the streaming hooks, the
+    ``/stats`` assembly and the health/timeline endpoints from here, so
+    every deployment shape reads the same. Each tier supplies its own
+    ``recommend``, ``metrics_text`` and ``_serving_state``.
+
+    Without :meth:`enable_monitoring`, ``/health`` stays the legacy
+    unconditional-``ok`` payload and the other monitoring endpoints
+    report ``monitoring: false``.
     """
 
     monitor = None      # set by enable_monitoring()
+
+    def __init__(self, registry: ModelRegistry, max_batch: int,
+                 max_wait_ms: float, cache_size: int, batching: bool):
+        self.registry = registry
+        self.settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
+                         "cache_size": cache_size, "batching": batching}
+        self.stream = None          # attached via attach_stream()
+        self._closed = False
+        # End-to-end latency per scenario lives in log-bucketed
+        # histograms: /stats reads p50/p99 in O(1) over ~64 buckets.
+        self._latency: dict[str, metrics.Histogram] = {}
+        self._m_swap_races = metrics.counter(
+            "repro_serve_swap_race_retries_total",
+            "requests retried because they raced a hot swap")
+
+    def _observe_latency(self, dataset: str, model: str,
+                         seconds: float) -> None:
+        name = f"{dataset}:{model}"
+        hist = self._latency.get(name)
+        if hist is None:
+            # Registry get-or-create is idempotent, so a benign double
+            # create under race just returns the same instrument.
+            hist = self._latency[name] = metrics.histogram(
+                "repro_serve_request_seconds",
+                "end-to-end recommend() latency", labels={"scenario": name})
+        hist.observe(seconds)
+
+    # -- streaming -----------------------------------------------------------
+
+    def attach_stream(self, manager) -> None:
+        """Attach a continual-learning manager (see ``repro.stream``).
+
+        ``manager`` must provide ``ingest(dataset, model, events)``,
+        ``swap(dataset, model)``, ``stats()`` and ``close()``. Once
+        attached, the manager's lifecycle is tied to the service's.
+        """
+        self.stream = manager
+
+    def _require_stream(self):
+        if self.stream is None:
+            raise ValueError("streaming is not enabled on this service; "
+                             "start it with `repro stream`")
+        return self.stream
+
+    def ingest_events(self, dataset: str, model: str, events: list) -> dict:
+        """Feed interaction/cold-item events to the streaming pipeline."""
+        return self._require_stream().ingest(dataset, model, events)
+
+    def trigger_swap(self, dataset: str, model: str) -> dict:
+        """Force a hot swap of one scenario's model/index generation."""
+        return self._require_stream().swap(dataset, model)
+
+    # -- introspection -------------------------------------------------------
+
+    def scenarios(self) -> list[dict]:
+        return self.registry.describe()
+
+    def stats(self) -> dict:
+        """The ``GET /stats`` body on either tier.
+
+        Counts come from :func:`scenario_counters` over
+        :meth:`metrics_text`; queue depth, retrieval configuration and
+        the ``pool`` topology are live state from ``_serving_state``.
+        The counters are scenario-labeled and outlive batcher and
+        worker generations, so a hot swap never resets a row.
+        """
+        state, topology = self._serving_state()
+        rows = scenario_counters(self.metrics_text(), state)
+        for name, row in rows.items():
+            row["queue_depth"], config = state[name]
+            row["retrieval"] = {**config, **row["retrieval"]}
+            hist = self._latency.get(name)
+            if hist is not None and hist.count:
+                row["latency_ms"] = hist.snapshot().to_json(scale=1e3)
+        payload = {"scenarios": rows,
+                   "swap_race_retries": int(self._m_swap_races.value),
+                   "pool": topology,
+                   "settings": dict(self.settings)}
+        if self.stream is not None:
+            payload["stream"] = self.stream.stats()
+        return payload
+
+    # -- self-monitoring -----------------------------------------------------
 
     def enable_monitoring(self, interval_s: float = 1.0,
                           window_s: float = 300.0, rules=None,
@@ -81,10 +224,25 @@ class SelfMonitoring:
             return {"monitoring": False, "metrics": [], "series": []}
         return self.monitor.timeline.export(metric, window_s=window_s)
 
+    # -- lifecycle -----------------------------------------------------------
+
     def _close_monitor(self) -> None:
         monitor, self.monitor = self.monitor, None
         if monitor is not None:
             monitor.close()
+
+    def _close_background(self) -> None:
+        """Stop the sampler, then the fine-tune workers, before serving."""
+        self._close_monitor()
+        stream, self.stream = self.stream, None
+        if stream is not None:
+            stream.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class RecommendationService(SelfMonitoring):
@@ -93,37 +251,11 @@ class RecommendationService(SelfMonitoring):
     def __init__(self, registry: ModelRegistry, max_batch: int = 32,
                  max_wait_ms: float = 2.0, cache_size: int = 1024,
                  batching: bool = True):
-        self.registry = registry
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.cache_size = cache_size
-        self.batching = batching
-        self.stream = None          # attached via attach_stream()
+        super().__init__(registry, max_batch=max_batch,
+                         max_wait_ms=max_wait_ms, cache_size=cache_size,
+                         batching=batching)
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._lock = threading.Lock()
-        self._swap_race_retries = 0
-        self._closed = False
-        # End-to-end latency per scenario lives in log-bucketed histograms:
-        # /stats reads p50/p99 in O(1) over ~64 buckets instead of sorting
-        # an ever-growing latency list (the pre-obs implementation kept
-        # raw per-request floats).
-        self._latency: dict[tuple[str, str], metrics.Histogram] = {}
-        self._m_swap_races = metrics.counter(
-            "repro_serve_swap_race_retries_total",
-            "requests retried because they raced a hot swap")
-
-    def _latency_hist(self, dataset: str, model: str) -> metrics.Histogram:
-        key = (dataset, model)
-        hist = self._latency.get(key)
-        if hist is None:
-            # Registry get-or-create is idempotent, so a benign double
-            # create under race just returns the same instrument.
-            hist = metrics.histogram(
-                "repro_serve_request_seconds",
-                "end-to-end recommend() latency",
-                labels={"scenario": f"{dataset}:{model}"})
-            self._latency[key] = hist
-        return hist
 
     # -- internals -----------------------------------------------------------
 
@@ -140,13 +272,28 @@ class RecommendationService(SelfMonitoring):
                 existing.close()
                 existing = None
             if existing is None:
+                settings = self.settings
                 existing = MicroBatcher(
-                    scenario.recommender, max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms, cache_size=self.cache_size,
-                    start=self.batching,
+                    scenario.recommender, max_batch=settings["max_batch"],
+                    max_wait_ms=settings["max_wait_ms"],
+                    cache_size=settings["cache_size"],
+                    start=settings["batching"],
                     metrics_label=f"{key[0]}:{key[1]}")
                 self._batchers[key] = existing
             return existing
+
+    def _serving_state(self) -> tuple[dict, dict]:
+        with self._lock:
+            depths = {key: batcher.queue_depth
+                      for key, batcher in self._batchers.items()}
+        state = {}
+        for scenario in self.registry:
+            key = scenario.spec.key
+            state[f"{key[0]}:{key[1]}"] = (
+                depths.get(key, 0), scenario.recommender.describe_retrieval())
+        # Topology parity with the pooled tier: consumers can branch on
+        # mode instead of sniffing for pool keys.
+        return state, {"mode": "in-process", "workers": 0}
 
     # -- request API ---------------------------------------------------------
 
@@ -173,11 +320,9 @@ class RecommendationService(SelfMonitoring):
                     raise
                 # Observable on /stats: a spike means swaps are so
                 # frequent requests keep landing on retiring batchers.
-                with self._lock:
-                    self._swap_race_retries += 1
                 self._m_swap_races.inc()
         elapsed = time.perf_counter() - start
-        self._latency_hist(dataset, model).observe(elapsed)
+        self._observe_latency(dataset, model, elapsed)
         ctx = trace.current()
         if ctx is not None:
             ctx.meta.setdefault("cached", result.cached)
@@ -190,30 +335,7 @@ class RecommendationService(SelfMonitoring):
         """Rebuild one scenario's catalogue index; returns the new version."""
         return self.registry.get(dataset, model).recommender.refresh()
 
-    # -- streaming / hot swap ------------------------------------------------
-
-    def attach_stream(self, manager) -> None:
-        """Attach a continual-learning manager (see ``repro.stream``).
-
-        ``manager`` must provide ``ingest(dataset, model, events)``,
-        ``swap(dataset, model)``, ``stats()`` and ``close()``. Once
-        attached, the manager's lifecycle is tied to the service's.
-        """
-        self.stream = manager
-
-    def ingest_events(self, dataset: str, model: str, events: list) -> dict:
-        """Feed interaction/cold-item events to the streaming pipeline."""
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.ingest(dataset, model, events)
-
-    def trigger_swap(self, dataset: str, model: str) -> dict:
-        """Force a hot swap of one scenario's model/index generation."""
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.swap(dataset, model)
+    # -- hot swap ------------------------------------------------------------
 
     def publish_generation(self, scenario: Scenario) -> dict:
         """Flip routing to ``scenario`` and retire the old batcher.
@@ -221,67 +343,27 @@ class RecommendationService(SelfMonitoring):
         The single entry point the hot-swap path (``repro.stream``)
         calls to make a new generation live. The pooled service
         (``repro.serve.pool``) overrides this with a shared-memory
-        publish + generation fence; the in-process version is just
-        ``registry.publish`` plus :meth:`retire_batcher`, timed with
-        the same keys (``publish_s`` / ``fence_s`` / ``drain_s``) so
-        the swap-phase observability reads identically in both tiers.
+        publish + generation fence; the in-process version is
+        ``registry.publish`` plus closing the old generation's batcher,
+        timed with the same keys (``publish_s`` / ``fence_s`` /
+        ``drain_s``) so the swap-phase observability reads identically
+        in both tiers. Closing drains every request already queued
+        against the old (still fully consistent) model+index; new
+        requests build a fresh batcher bound to the new generation.
         """
         tick = time.perf_counter()
         self.registry.publish(scenario)
         published = time.perf_counter()
-        self.retire_batcher(scenario.spec.key)
+        with self._lock:
+            batcher = self._batchers.pop(scenario.spec.key, None)
+        if batcher is not None:
+            batcher.close()
         done = time.perf_counter()
         return {"workers": 0, "acked": 0, "errors": [],
                 "publish_s": published - tick, "fence_s": 0.0,
                 "drain_s": done - published}
 
-    def retire_batcher(self, key: tuple[str, str]) -> None:
-        """Close (drain) the batcher bound to a swapped-out scenario.
-
-        Called by the hot-swap path right after ``registry.publish`` so
-        the old generation stops serving promptly instead of on the next
-        request. Every request already queued in the old batcher is
-        flushed against the old (still fully consistent) model+index
-        before it closes; new requests build a fresh batcher bound to
-        the new generation on arrival.
-        """
-        with self._lock:
-            batcher = self._batchers.pop(key, None)
-        if batcher is not None:
-            batcher.close()
-
     # -- introspection -------------------------------------------------------
-
-    def scenarios(self) -> list[dict]:
-        return self.registry.describe()
-
-    def stats(self) -> dict:
-        """Per-scenario batcher counters plus service-level settings."""
-        with self._lock:
-            snapshot = list(self._batchers.items())
-        per_scenario = {}
-        for (d, m), batcher in snapshot:
-            counters = batcher.stats.to_json()
-            counters["retrieval"] = \
-                batcher.recommender.describe_retrieval()
-            hist = self._latency.get((d, m))
-            if hist is not None and hist.count:
-                counters["latency_ms"] = hist.snapshot().to_json(scale=1e3)
-            per_scenario[f"{d}:{m}"] = counters
-        with self._lock:
-            swap_races = self._swap_race_retries
-        payload = {"scenarios": per_scenario,
-                   "swap_race_retries": swap_races,
-                   # Topology parity with the pooled tier: consumers can
-                   # branch on mode instead of sniffing for pool keys.
-                   "pool": {"mode": "in-process", "workers": 0},
-                   "settings": {"max_batch": self.max_batch,
-                                "max_wait_ms": self.max_wait_ms,
-                                "cache_size": self.cache_size,
-                                "batching": self.batching}}
-        if self.stream is not None:
-            payload["stream"] = self.stream.stats()
-        return payload
 
     def metrics_text(self) -> str:
         """The Prometheus exposition for ``GET /metrics``.
@@ -295,19 +377,10 @@ class RecommendationService(SelfMonitoring):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._close_monitor()       # stop the sampler before its sources
-        stream, self.stream = self.stream, None
-        if stream is not None:
-            stream.close()          # stop fine-tune workers first
+        self._close_background()
         with self._lock:
             self._closed = True
             batchers = list(self._batchers.values())
             self._batchers.clear()
         for batcher in batchers:
             batcher.close()
-
-    def __enter__(self) -> "RecommendationService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

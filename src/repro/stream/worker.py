@@ -913,29 +913,21 @@ class FineTuneWorker:
                                            index=index)
         # The service owns how a generation goes live: registry flip +
         # batcher drain in-process, shared-memory publish + generation
-        # fence on the pooled tier. Duck services used by unit tests may
-        # predate the hook, so fall back to the pre-fence sequence.
-        publisher = getattr(self.service, "publish_generation", None)
-        if publisher is not None:
-            fence_info = publisher(scenario)
-        else:
-            registry.publish(scenario)
-            self.service.retire_batcher(self.key)
-            fence_info = None
+        # fence on the pooled tier.
+        fence_info = self.service.publish_generation(scenario)
         done = time.perf_counter()
         # Render the publish/fence/drain phases as contiguous spans from
         # the durations the service reported (zero-width fence on the
         # in-process tier), ending exactly at `done` so sampled swap
         # traces keep full coverage.
-        durations = fence_info or {}
         edge = tick
         for name in ("publish", "fence", "drain"):
-            seconds = max(float(durations.get(f"{name}_s", 0.0)), 0.0)
+            seconds = max(float(fence_info.get(f"{name}_s", 0.0)), 0.0)
             end = done if name == "drain" else min(edge + seconds, done)
             phase(name, edge, end)
             edge = end
         fence_report = None
-        if fence_info is not None and fence_info.get("workers", 0) > 0:
+        if fence_info.get("workers", 0) > 0:
             fence_report = {"workers": fence_info["workers"],
                             "acked": fence_info["acked"],
                             "errors": fence_info.get("errors", []),

@@ -149,6 +149,13 @@ def test_gauge_set_add_and_function(registry):
     assert g.value == 42.0
 
 
+def test_gauge_set_max_is_a_high_water_mark(registry):
+    g = registry.gauge("largest")
+    for value in (3, 7, 5):
+        g.set_max(value)
+    assert g.value == 7.0
+
+
 def test_gauge_dead_callback_yields_nan_not_crash(registry):
     g = registry.gauge("dead")
     g.set_function(lambda: 1 / 0)
@@ -199,6 +206,18 @@ def test_prometheus_render_parse_round_trip(registry):
     inf = [v for (name, labels), v in parsed.items()
            if name == "rt_seconds_bucket" and "+Inf" in labels]
     assert inf == [3.0]
+
+
+def test_large_counts_render_exactly(registry):
+    """/stats reads its counts back from this text: past 10^6 a
+    six-digit rendering would round them."""
+    registry.counter("big_total").inc(1234567)
+    registry.gauge("frac").set(0.1)
+    text = registry.render()
+    assert "big_total 1234567\n" in text
+    assert "frac 0.1\n" in text
+    merged = parse_prometheus(merge_expositions([text, text]))
+    assert merged[("big_total", "")] == 2469134.0
 
 
 def test_parse_prometheus_rejects_garbage():

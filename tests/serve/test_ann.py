@@ -10,8 +10,9 @@ Three families lock the ANN layer down:
   bit-for-bit, including seen-item exclusion and the lower-item-id
   tie-break, which pins the candidate-re-rank plumbing;
 * **fallback triggers** — every condition under which approximate
-  recall would be unsafe must route to exact scoring and be visible in
-  ``retrieval_stats``.
+  recall would be unsafe must route to exact scoring and be counted on
+  the ``repro_serve_batches_total`` / ``repro_serve_ann_fallbacks_total``
+  series.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.serve import (CatalogIndex, IVFIndex, LSHIndex, Recommender,
                          make_ann_index, synthetic_catalog,
                          synthetic_queries)
 from repro.serve.ann import default_nlist
+
+from .conftest import counted
 
 
 # -- synthetic-catalogue fixtures (index-level tests) ------------------------
@@ -206,8 +209,9 @@ def test_exhaustive_ann_equals_exact_bit_for_bit(
         exact_answers):
     rec = Recommender(paper_model, paper_dataset, retrieval=kind,
                       ann_params=params, min_ann_items=1)
-    got = rec.recommend_batch(paper_histories, k=10)
-    assert rec.retrieval_stats.ann_batches == 1
+    with counted() as delta:
+        got = rec.recommend_batch(paper_histories, k=10)
+    assert delta["ann_batches"] == 1
     for expected, answer in zip(exact_answers, got):
         assert np.array_equal(expected.items, answer.items)
         assert np.allclose(expected.scores, answer.scores)
@@ -238,13 +242,14 @@ def test_refresh_rebuilds_ann_and_bumps_version(paper_model, paper_dataset,
                                                 paper_histories):
     rec = Recommender(paper_model, paper_dataset, retrieval="ivf",
                       ann_params={"nlist": 8, "nprobe": 8}, min_ann_items=1)
-    first = rec.recommend(paper_histories[0], k=5)
-    rec.index.mark_stale()
-    second = rec.recommend(paper_histories[0], k=5)
+    with counted() as delta:
+        first = rec.recommend(paper_histories[0], k=5)
+        rec.index.mark_stale()
+        second = rec.recommend(paper_histories[0], k=5)
     assert second.index_version == first.index_version + 1
     assert rec.ann.fitted_version == second.index_version
     assert np.array_equal(first.items, second.items)  # weights unchanged
-    assert rec.retrieval_stats.ann_batches == 2       # never fell back
+    assert delta["ann_batches"] == 2                  # never fell back
 
 
 # -- exact-fallback triggers -------------------------------------------------
@@ -253,9 +258,10 @@ def test_refresh_rebuilds_ann_and_bumps_version(paper_model, paper_dataset,
 def test_fallback_small_catalog(paper_model, paper_dataset, paper_histories,
                                 exact_answers):
     rec = Recommender(paper_model, paper_dataset, retrieval="ivf")
-    answer = rec.recommend_batch(paper_histories, k=10)
-    assert rec.retrieval_stats.ann_batches == 0
-    assert rec.retrieval_stats.fallbacks == {"small_catalog": 1}
+    with counted() as delta:
+        answer = rec.recommend_batch(paper_histories, k=10)
+    assert delta["ann_batches"] == 0
+    assert delta["fallbacks"] == {"small_catalog": 1}
     for expected, got in zip(exact_answers, answer):
         assert np.array_equal(expected.items, got.items)
 
@@ -264,8 +270,9 @@ def test_fallback_k_near_catalog(paper_model, paper_dataset,
                                  paper_histories):
     rec = Recommender(paper_model, paper_dataset, retrieval="ivf",
                       ann_params={"nlist": 8, "nprobe": 8}, min_ann_items=1)
-    rec.recommend(paper_histories[0], k=paper_dataset.num_items // 2)
-    assert rec.retrieval_stats.fallbacks == {"k_near_catalog": 1}
+    with counted() as delta:
+        rec.recommend(paper_histories[0], k=paper_dataset.num_items // 2)
+    assert delta["fallbacks"] == {"k_near_catalog": 1}
 
 
 def test_fallback_non_kernel_model(paper_dataset, paper_histories):
@@ -275,8 +282,9 @@ def test_fallback_non_kernel_model(paper_dataset, paper_histories):
     rec = Recommender(model, paper_dataset, retrieval="ivf",
                       min_ann_items=1)
     assert rec.ann is None                   # structure never even built
-    rec.recommend(paper_histories[0], k=5)
-    assert rec.retrieval_stats.fallbacks == {"no_kernel": 1}
+    with counted() as delta:
+        rec.recommend(paper_histories[0], k=5)
+    assert delta["fallbacks"] == {"no_kernel": 1}
 
 
 def test_fallback_heuristic_model_without_index(paper_dataset,
@@ -285,8 +293,9 @@ def test_fallback_heuristic_model_without_index(paper_dataset,
     rec = Recommender(model, paper_dataset, retrieval="lsh",
                       min_ann_items=1)
     assert rec.index is None and rec.ann is None
-    rec.recommend(paper_histories[0], k=5)
-    assert rec.retrieval_stats.fallbacks == {"no_kernel": 1}
+    with counted() as delta:
+        rec.recommend(paper_histories[0], k=5)
+    assert delta["fallbacks"] == {"no_kernel": 1}
 
 
 def test_fallback_stale_ann_structure(paper_model, paper_dataset,
@@ -299,17 +308,19 @@ def test_fallback_stale_ann_structure(paper_model, paper_dataset,
     # withhold it and the recommender must score exactly.
     rec.ann._fitted = rec.ann._fitted.__class__(
         state=rec.ann._fitted.state, version=999)
-    answer = rec.recommend(paper_histories[0], k=5)
-    assert rec.retrieval_stats.fallbacks == {"stale_index": 1}
+    with counted() as delta:
+        answer = rec.recommend(paper_histories[0], k=5)
+    assert delta["fallbacks"] == {"stale_index": 1}
     assert answer.index_version == 1
 
 
 def test_exact_choice_is_not_counted_as_fallback(paper_model, paper_dataset,
                                                  paper_histories):
     rec = Recommender(paper_model, paper_dataset)    # retrieval="exact"
-    rec.recommend(paper_histories[0], k=5)
-    assert rec.retrieval_stats.exact_batches == 1
-    assert rec.retrieval_stats.fallbacks == {}
+    with counted() as delta:
+        rec.recommend(paper_histories[0], k=5)
+    assert delta["exact_batches"] == 1
+    assert delta["fallbacks"] == {}
 
 
 def test_catalog_index_attach_ann_fits_immediately(paper_model,
@@ -370,13 +381,15 @@ def test_sibling_backend_swap_falls_back_instead_of_misrouting(
                     retrieval="lsh", ann_params={"bits": 64},
                     min_ann_items=1)
     assert index.ann.kind == "lsh"
-    got = a.recommend_batch(paper_histories, k=10)
-    assert a.retrieval_stats.ann_batches == 0
-    assert a.retrieval_stats.fallbacks == {"backend_mismatch": 1}
+    with counted() as delta:
+        got = a.recommend_batch(paper_histories, k=10)
+    assert delta["ann_batches"] == 0
+    assert delta["fallbacks"] == {"backend_mismatch": 1}
     for expected, answer in zip(exact_answers, got):
         assert np.array_equal(expected.items, answer.items)
-    b.recommend(paper_histories[0], k=5)
-    assert b.retrieval_stats.ann_batches == 1     # owner still routes ANN
+    with counted() as delta:
+        b.recommend(paper_histories[0], k=5)
+    assert delta["ann_batches"] == 1              # owner still routes ANN
 
 
 def test_matching_attached_ann_is_reused_without_params(paper_model,
@@ -393,9 +406,10 @@ def test_retrieval_kind_is_case_insensitive(paper_model, paper_dataset,
                                             paper_histories):
     rec = Recommender(paper_model, paper_dataset, retrieval="IVF",
                       ann_params={"nlist": 8, "nprobe": 8}, min_ann_items=1)
-    rec.recommend(paper_histories[0], k=5)
+    with counted() as delta:
+        rec.recommend(paper_histories[0], k=5)
     assert rec.retrieval == "ivf"
-    assert rec.retrieval_stats.ann_batches == 1   # routed, no mismatch
+    assert delta["ann_batches"] == 1              # routed, no mismatch
 
 
 def test_describe_retrieval_reports_backend(paper_model, paper_dataset,

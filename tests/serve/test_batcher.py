@@ -7,6 +7,8 @@ import pytest
 
 from repro.serve import LRUCache, MicroBatcher
 
+from .conftest import counted, serving_counts
+
 
 @pytest.fixture()
 def histories(dataset):
@@ -14,44 +16,50 @@ def histories(dataset):
 
 
 def test_flush_on_size_trigger(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=10_000.0,
-                      cache_size=0) as batcher:
+    with counted() as delta, MicroBatcher(
+            recommender, max_batch=4, max_wait_ms=10_000.0,
+            cache_size=0) as batcher:
         futures = [batcher.submit(h, k=3) for h in histories[:4]]
         results = [f.result(timeout=30) for f in futures]
     # The worker never had to wait out the clock: the 4th submit filled
     # the batch.
-    assert batcher.stats.size_flushes >= 1
-    assert batcher.stats.requests == 4
+    assert delta["size_flushes"] >= 1
+    assert delta["requests"] == 4
     for history, result in zip(histories[:4], results):
         expected = recommender.recommend(history, k=3)
         assert np.array_equal(result.items, expected.items)
 
 
 def test_flush_on_timeout_trigger(recommender, histories):
-    with MicroBatcher(recommender, max_batch=64, max_wait_ms=20.0,
-                      cache_size=0) as batcher:
+    with counted() as delta, MicroBatcher(
+            recommender, max_batch=64, max_wait_ms=20.0,
+            cache_size=0) as batcher:
         future = batcher.submit(histories[0], k=3)
         result = future.result(timeout=30)
-    assert batcher.stats.timeout_flushes == 1
-    assert batcher.stats.size_flushes == 0
+    assert delta["timeout_flushes"] == 1
+    assert delta["size_flushes"] == 0
     assert np.array_equal(result.items,
                           recommender.recommend(histories[0], k=3).items)
 
 
-def test_coalescing_batches_fewer_than_requests(recommender, histories):
-    with MicroBatcher(recommender, max_batch=6, max_wait_ms=50.0,
-                      cache_size=0) as batcher:
+def test_coalescing_batches_fewer_than_requests(recommender, histories,
+                                                fresh_label):
+    with counted(fresh_label) as delta, MicroBatcher(
+            recommender, max_batch=6, max_wait_ms=50.0, cache_size=0,
+            metrics_label=fresh_label) as batcher:
         futures = [batcher.submit(h, k=3) for h in histories]
         for future in futures:
             future.result(timeout=30)
-    assert batcher.stats.requests == len(histories)
-    assert batcher.stats.batches < len(histories)
-    assert batcher.stats.largest_batch > 1
+    assert delta["requests"] == len(histories)
+    assert delta["batches"] < len(histories)
+    # A fresh label: the high-water gauge saw only this batcher.
+    assert serving_counts(fresh_label)["largest_batch"] > 1
 
 
 def test_lru_cache_hit_and_miss_accounting(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
+    with counted() as delta, MicroBatcher(
+            recommender, max_batch=4, max_wait_ms=5.0,
+            cache_size=8) as batcher:
         first = batcher.recommend(histories[0], k=3)
         assert first.cached is False
         again = batcher.recommend(histories[0], k=3)
@@ -60,8 +68,8 @@ def test_lru_cache_hit_and_miss_accounting(recommender, histories):
         # Different k is a different request.
         other_k = batcher.recommend(histories[0], k=2)
         assert other_k.cached is False
-    assert batcher.stats.cache_hits == 1
-    assert batcher.stats.cache_misses == 2
+    assert delta["cache_hits"] == 1
+    assert delta["cache_misses"] == 2
 
 
 def test_stale_index_bypasses_cache_until_rebuilt(recommender, histories):
@@ -80,34 +88,37 @@ def test_stale_index_bypasses_cache_until_rebuilt(recommender, histories):
 
 
 def test_cache_invalidated_by_index_refresh(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
+    with counted() as delta, MicroBatcher(
+            recommender, max_batch=4, max_wait_ms=5.0,
+            cache_size=8) as batcher:
         batcher.recommend(histories[0], k=3)
         recommender.refresh()          # new index version => new cache keys
         refreshed = batcher.recommend(histories[0], k=3)
         assert refreshed.cached is False
-    assert batcher.stats.cache_hits == 0
+    assert delta["cache_hits"] == 0
 
 
 def test_manual_mode_flushes_inline(recommender, histories):
-    batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
-                           start=False)
-    result = batcher.recommend(histories[0], k=3)
+    with counted() as delta:
+        batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
+                               start=False)
+        result = batcher.recommend(histories[0], k=3)
     assert np.array_equal(result.items,
                           recommender.recommend(histories[0], k=3).items)
-    assert batcher.stats.batches == 1
+    assert delta["batches"] == 1
     batcher.close()
 
 
 def test_mixed_k_batch_truncates_per_request(recommender, histories):
     batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
                            start=False)
-    small = batcher.submit(histories[0], k=2)
-    large = batcher.submit(histories[1], k=7)
-    batcher.flush_pending()
+    with counted() as delta:
+        small = batcher.submit(histories[0], k=2)
+        large = batcher.submit(histories[1], k=7)
+        batcher.flush_pending()
     assert len(small.result(timeout=5).items) == 2
     assert len(large.result(timeout=5).items) == 7
-    assert batcher.stats.batches == 1
+    assert delta["batches"] == 1
     batcher.close()
 
 

@@ -17,6 +17,8 @@ import pytest
 
 from repro.serve import MicroBatcher
 
+from .conftest import counted, serving_counts
+
 THREADS = 8
 REQUESTS_PER_THREAD = 25
 
@@ -44,12 +46,14 @@ def _hammer(batcher, pool, per_thread, thread_seed, out, errors):
 
 
 def test_threaded_stress_no_dropped_or_duplicated_responses(recommender,
-                                                            request_pool):
+                                                            request_pool,
+                                                            fresh_label):
     pool, expected = request_pool
     responses: list = []
     errors: list = []
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=1.0,
-                      cache_size=64) as batcher:
+    with counted(fresh_label) as stats, MicroBatcher(
+            recommender, max_batch=4, max_wait_ms=1.0, cache_size=64,
+            metrics_label=fresh_label) as batcher:
         threads = [threading.Thread(
             target=_hammer,
             args=(batcher, pool, REQUESTS_PER_THREAD, seed, responses,
@@ -64,13 +68,13 @@ def test_threaded_stress_no_dropped_or_duplicated_responses(recommender,
     total = THREADS * REQUESTS_PER_THREAD
     # Exactly one response per request: nothing dropped...
     assert len(responses) == total
-    stats = batcher.stats
-    assert stats.requests == total
+    assert stats["requests"] == total
     # ...nothing double-served: every request is either a cache hit or
     # went through exactly one flushed batch.
-    assert stats.cache_hits + stats.cache_misses == total
-    assert stats.batches <= stats.cache_misses
-    assert stats.largest_batch <= 4
+    assert stats["cache_hits"] + stats["cache_misses"] == total
+    assert stats["batches"] <= stats["cache_misses"]
+    # A fresh label: the high-water gauge saw only this batcher.
+    assert serving_counts(fresh_label)["largest_batch"] <= 4
     # Every answer is the answer direct retrieval gives.
     for key, result in responses:
         reference = expected[key]
