@@ -1,4 +1,4 @@
-"""Approximate-retrieval benchmark: recall@k vs QPS, exact vs IVF vs LSH.
+"""Approximate-retrieval benchmark: recall@k vs QPS, exact vs IVF.
 
 The acceptance benchmark behind `repro.serve.ann`: at a paper-scale
 catalogue (the NineRec/HM sources PMMRec targets run to ~10^4–10^5
@@ -7,7 +7,9 @@ exact full-catalogue scoring at recall@10 >= 0.95**. The rendered
 table is committed under ``results/ann_bench.txt``; like the serve
 latency benchmark, the artifact-writing cases are ``slow``-marked so a
 plain ``pytest`` run never clobbers the committed record (run them with
-``pytest -m slow benchmarks/test_ann_perf.py``).
+``pytest -m slow benchmarks/test_ann_perf.py``). The committed record
+still has the row of the LSH backend, measured at 0.43x exact QPS
+before LSH was removed as dominated; a rerun drops that row.
 
 The catalogue is a seeded, clustered synthetic embedding matrix
 (:func:`repro.serve.bench.synthetic_catalog`) — the cluster-structured
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.obs import metrics
-from repro.serve import (IVFIndex, LSHIndex, Recommender, bench_retrieval,
+from repro.serve import (IVFIndex, Recommender, bench_retrieval,
                          render_retrieval, scenario_counters,
                          synthetic_catalog, synthetic_queries)
 
@@ -42,13 +44,12 @@ _skip_perf_assert = os.environ.get("REPRO_SKIP_PERF_ASSERT") == "1"
 
 @pytest.mark.slow
 def test_ann_bench_paper_scale(benchmark):
-    """Record recall@10 and QPS for exact vs IVF vs LSH; assert the floor."""
+    """Record recall@10 and QPS for exact vs IVF; assert the floor."""
     catalog = synthetic_catalog(PAPER_SCALE_ITEMS, dim=DIM,
                                 num_clusters=256, seed=0)
     queries = synthetic_queries(catalog, 256, seed=1)
     backends = {"exact": None,
-                "ivf": IVFIndex(seed=0),
-                "lsh": LSHIndex(seed=0)}
+                "ivf": IVFIndex(seed=0)}
 
     def run():
         return bench_retrieval(catalog, queries, k=K, backends=backends)
@@ -63,7 +64,6 @@ def test_ann_bench_paper_scale(benchmark):
     # Recall floors are deterministic (seeded data, seeded indexes).
     assert by_name["exact"].recall_at_k == 1.0
     assert by_name["ivf"].recall_at_k >= 0.95
-    assert by_name["lsh"].recall_at_k >= 0.95
     # IVF's structure is ~16x smaller than the catalogue it indexes.
     assert by_name["ivf"].nbytes < catalog.nbytes / 4
     if not _skip_perf_assert:
@@ -75,8 +75,7 @@ def test_ann_bench_harness_smoke(benchmark):
     catalog = synthetic_catalog(2000, dim=16, num_clusters=32, seed=3)
     queries = synthetic_queries(catalog, 32, seed=4)
     backends = {"exact": None,
-                "ivf": IVFIndex(nlist=64, nprobe=8, seed=0),
-                "lsh": LSHIndex(bits=64, seed=0)}
+                "ivf": IVFIndex(nlist=64, nprobe=8, seed=0)}
 
     def run():
         return bench_retrieval(catalog, queries, k=5, backends=backends)

@@ -67,18 +67,16 @@ def main() -> None:
 
     # -- 5. approximate retrieval at catalogue scale -----------------------
     # Past ~10k items exact scoring stops fitting the latency budget;
-    # `retrieval="ivf"`/"lsh" shortlists candidates and re-ranks genuine
-    # model scores (docs/serving.md, "Retrieval backends"). On a
-    # clustered 20k-item synthetic catalogue:
-    from repro.serve import (IVFIndex, LSHIndex, bench_retrieval,
-                             render_retrieval, synthetic_catalog,
-                             synthetic_queries)
+    # `retrieval="ivf"` shortlists candidates and re-ranks genuine model
+    # scores (docs/serving.md, "Retrieval backends"). On a clustered
+    # 20k-item synthetic catalogue:
+    from repro.serve import (IVFIndex, bench_retrieval, render_retrieval,
+                             synthetic_catalog, synthetic_queries)
     catalog = synthetic_catalog(20_000, dim=32, seed=0)
     queries = synthetic_queries(catalog, 64, seed=1)
     reports = bench_retrieval(catalog, queries, k=10,
                               backends={"exact": None,
-                                        "ivf": IVFIndex(seed=0),
-                                        "lsh": LSHIndex(seed=0)})
+                                        "ivf": IVFIndex(seed=0)})
     print()
     print(render_retrieval(reports, title="retrieval backends (20k items)"))
 

@@ -7,7 +7,7 @@ against finite differences.
 """
 
 from .attention import MultiHeadAttention, TransformerBlock, causal_mask, padding_mask
-from .cluster import hamming_distances, kmeans, kmeans_assign, sign_codes
+from .cluster import kmeans, kmeans_assign
 from .convolution import CausalConv1d, NextItNetResidualBlock
 from .fused import (feed_forward, fusion_enabled, info_nce, layer_norm,
                     linear, multi_head_attention,
@@ -40,7 +40,7 @@ __all__ = [
     "fusion_enabled", "use_fused", "scaled_dot_product_attention",
     "multi_head_attention", "transformer_block", "softmax_cross_entropy",
     "layer_norm", "linear", "feed_forward", "dropout_mask",
-    "kmeans", "kmeans_assign", "sign_codes", "hamming_distances",
+    "kmeans", "kmeans_assign",
     "SGD", "Adam", "AdamW", "clip_grad_norm",
     "ConstantSchedule", "WarmupCosineSchedule",
     "save_checkpoint", "load_checkpoint", "checkpoint_meta",

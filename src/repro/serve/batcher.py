@@ -160,6 +160,10 @@ class MicroBatcher:
                     items=hit.items, scores=hit.scores,
                     index_version=hit.index_version, cached=True))
                 return future
+            # Only misses pay for validation: a cached key was validated
+            # when its answer was stored. Checking here rather than in
+            # the flush keeps one bad request from failing its batch.
+            self.recommender.check_request(history, k)
             self._m_cache["miss"].inc()
             request = _Pending(history=history, k=k, key=key, trace=ctx)
             if ctx is not None:

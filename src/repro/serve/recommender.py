@@ -6,15 +6,15 @@ mask out the padding item and (optionally) everything the user has
 already seen, and return the top-k via the argpartition-backed
 :func:`repro.nn.ops.topk` instead of a full-catalogue sort.
 
-With ``retrieval="ivf"`` or ``"lsh"`` the top-k is routed through an
-approximate index (:mod:`repro.serve.ann`): the user's query vector
-shortlists candidates, only the shortlist is scored exactly, and the
-answer is re-ranked genuine model scores. The recommender falls back to
-exact full-catalogue scoring whenever approximate recall would be
-unsafe — tiny catalogues, an ANN structure stale relative to the
-catalogue version, models outside the scoring-kernel protocol, or a
-``k`` so large the shortlist would approach the whole catalogue — and
-counts every routing decision on the scenario-labeled
+With ``retrieval="ivf"`` the top-k is routed through an approximate
+index (:mod:`repro.serve.ann`): the user's query vector shortlists
+candidates, only the shortlist is scored exactly, and the answer is
+re-ranked genuine model scores. The recommender falls back to exact
+full-catalogue scoring whenever approximate recall would be unsafe —
+tiny catalogues, an ANN structure stale relative to the catalogue
+version, models outside the scoring-kernel protocol, or a ``k`` so
+large the shortlist would approach the whole catalogue — and counts
+every routing decision on the scenario-labeled
 ``repro_serve_batches_total`` / ``repro_serve_ann_fallbacks_total``
 counters.
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..nn.ops import topk
 from ..obs import metrics, trace
-from .ann import AnnIndex, make_ann_index
+from .ann import IVFIndex
 from .index import CatalogIndex
 from .scoring import (encode_queries, model_max_len, score_batch,
                       supports_kernel)
@@ -60,8 +60,8 @@ def _stage(name: str, start: float, end: float,
 DEFAULT_MIN_ANN_ITEMS = 1024
 
 #: Why an ANN-configured recommender scored a batch exactly instead.
-FALLBACK_REASONS = ("no_kernel", "backend_mismatch", "small_catalog",
-                    "k_near_catalog", "stale_index")
+FALLBACK_REASONS = ("no_kernel", "small_catalog", "k_near_catalog",
+                    "stale_index")
 
 
 @dataclass
@@ -98,12 +98,12 @@ class Recommender:
     put in eval mode once at construction so the request path never
     touches training state.
 
-    ``retrieval`` selects the top-k backend: ``"exact"`` (default) or an
-    ANN kind from :data:`repro.serve.ann.ANN_KINDS`; ``ann_params`` are
-    forwarded to the backend constructor (``nlist``, ``nprobe``,
-    ``bits``, ...). ``min_ann_items`` is the catalogue-size floor below
-    which the ANN path is never taken. ``metrics_label`` is the
-    ``scenario`` label of the routing counters (``"default"`` if unset).
+    ``retrieval`` selects the top-k backend: ``"exact"`` (default) or
+    ``"ivf"``; ``ann_params`` are forwarded to the :class:`IVFIndex`
+    constructor (``nlist``, ``nprobe``, ``seed``, ...). ``min_ann_items``
+    is the catalogue-size floor below which the ANN path is never taken.
+    ``metrics_label`` is the ``scenario`` label of the routing counters
+    (``"default"`` if unset).
     """
 
     def __init__(self, model, dataset, index: CatalogIndex | None = None,
@@ -114,9 +114,10 @@ class Recommender:
         self.model = model
         self.dataset = dataset
         self.exclude_seen = exclude_seen
-        # Normalized so routing's kind comparison can never disagree
-        # with the case-insensitive make_ann_index factory.
         self.retrieval = (retrieval or "exact").lower()
+        if self.retrieval not in ("exact", "ivf"):
+            raise ValueError(f"unknown retrieval backend {retrieval!r}; "
+                             "choose from ('exact', 'ivf')")
         self.min_ann_items = min_ann_items
         self.metrics_label = metrics_label or "default"
         scope = {"scenario": self.metrics_label}
@@ -142,19 +143,14 @@ class Recommender:
         # Only kernel-capable indexed models can form the query vectors
         # ANN retrieval shortlists with; for anything else the structure
         # would never be consulted, so don't pay its build cost. A
-        # structure already attached to a shared index is reused only
-        # when it matches the configured backend and the caller supplied
-        # no explicit knobs — otherwise this recommender's configuration
-        # wins and the index is re-attached (stats must never report one
-        # backend while routing through another).
-        if index is not None and self._use_kernel:
-            wanted = make_ann_index(retrieval, **(ann_params or {}))
-            if wanted is not None and (index.ann is None or ann_params
-                                       or index.ann.kind != wanted.kind):
-                index.attach_ann(wanted)
+        # structure already attached to a shared index is reused unless
+        # the caller supplied explicit knobs, which then win.
+        if (self.retrieval == "ivf" and index is not None
+                and self._use_kernel and (index.ann is None or ann_params)):
+            index.attach_ann(IVFIndex(**(ann_params or {})))
 
     @property
-    def ann(self) -> AnnIndex | None:
+    def ann(self) -> IVFIndex | None:
         """The attached approximate-retrieval structure, if any."""
         return None if self.index is None else self.index.ann
 
@@ -229,14 +225,8 @@ class Recommender:
             return False, None
         if self.index is None or not self._use_kernel:
             return False, "no_kernel"
-        ann = self.index.ann
-        if ann is None:                  # backend resolved to exact/none
+        if self.index.ann is None:       # detached from the shared index
             return False, None
-        if ann.kind != self.retrieval:
-            # A sibling recommender re-attached its own backend to the
-            # shared index; routing through it would make this
-            # recommender's stats a lie, so score exactly and say why.
-            return False, "backend_mismatch"
         num_items = self.index.num_items
         if num_items < self.min_ann_items:
             return False, "small_catalog"
@@ -255,17 +245,11 @@ class Recommender:
         only its shortlist, so per-row work is ``O(|shortlist|·d)``
         instead of ``O(n·d)``. Candidates arrive id-ascending from the
         index, so the stable top-k tie-break (lower item id wins) is the
-        same one the exact path applies. The backend kind is re-checked
-        against the snapshot actually taken: a sibling recommender can
-        swap the shared index's structure between the plan check and
-        here, and routing through it would falsify this recommender's
-        stats.
+        same one the exact path applies.
         """
         matrix, version, ann = self.index.snapshot_retrieval()
         if ann is None:
             return None, "stale_index"
-        if ann.index.kind != self.retrieval:
-            return None, "backend_mismatch"
         ctx = trace.current()
         tick = perf_counter()
         queries = encode_queries(self.model, matrix, histories,
@@ -310,15 +294,25 @@ class Recommender:
         """Top-k next items for one user history."""
         return self.recommend_batch([history], k=k)[0]
 
+    def check_request(self, history: np.ndarray, k: int) -> None:
+        """Raise ``ValueError`` for a request no batch could answer.
+
+        The micro-batcher calls this before queueing, so one malformed
+        request fails alone instead of failing its whole flush.
+        """
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        if history.size == 0:
+            raise ValueError("history must contain at least one item")
+        if history.min() < 1 or history.max() > self.dataset.num_items:
+            raise ValueError(
+                f"history items must be in [1, {self.dataset.num_items}]")
+
     def recommend_batch(self, histories, k: int = 10) -> list[Recommendation]:
         """Top-k for many histories in one batched scoring pass."""
         histories = [np.asarray(h, dtype=np.int64) for h in histories]
         for h in histories:
-            if h.size == 0:
-                raise ValueError("history must contain at least one item")
-            if h.min() < 1 or h.max() > self.dataset.num_items:
-                raise ValueError(
-                    f"history items must be in [1, {self.dataset.num_items}]")
+            self.check_request(h, k)
         use_ann, reason = self._retrieval_plan(histories, k)
         if use_ann:
             results, reason = self._recommend_ann(histories, k)

@@ -129,17 +129,40 @@ def test_submit_after_close_raises(recommender, histories):
         batcher.submit(histories[0], k=3)
 
 
-def test_scoring_errors_propagate_to_futures(recommender):
+def test_scoring_errors_propagate_to_futures(recommender, monkeypatch):
     batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
                            start=False)
-    future = batcher.submit(np.array([1]), k=3)
-    # Invalid item id: recommend_batch raises inside the flush.
-    bad = batcher.submit(np.array([10_000]), k=3)
+    first = batcher.submit(np.array([1]), k=3)
+    second = batcher.submit(np.array([2]), k=3)
+
+    def broken(histories, k=10):
+        raise RuntimeError("scoring failed")
+
+    # A failure inside the flush itself reaches every waiter of the batch.
+    monkeypatch.setattr(recommender, "recommend_batch", broken)
     batcher.flush_pending()
-    with pytest.raises(ValueError):
-        bad.result(timeout=5)
-    with pytest.raises(ValueError):
-        future.result(timeout=5)       # same batch, same failure
+    for future in (first, second):
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            future.result(timeout=5)
+    batcher.close()
+
+
+def test_malformed_request_fails_alone(recommender, histories):
+    batcher = MicroBatcher(recommender, max_batch=8, cache_size=8,
+                           start=False)
+    good = batcher.submit(histories[0], k=3)
+    # Refused at submit, so it never joins (and never fails) the batch.
+    with pytest.raises(ValueError, match="history items must be in"):
+        batcher.submit(np.array([10_000]), k=3)
+    with pytest.raises(ValueError, match="history must contain"):
+        batcher.submit(np.array([], dtype=np.int64), k=3)
+    for bad_k in (0, -4):
+        with pytest.raises(ValueError, match="k must be positive"):
+            batcher.submit(histories[1], k=bad_k)
+    assert batcher.flush_pending() == 1
+    assert len(good.result(timeout=5).items) == 3
+    with pytest.raises(ValueError, match="k must be positive"):
+        batcher.submit(histories[1], k=-4)      # nothing was cached
     batcher.close()
 
 

@@ -60,15 +60,25 @@ def test_serve_smoke_with_ivf_reports_fallback_at_tiny_scale(capsys):
 
 def test_bench_serve_labels_fallback_honestly(capsys):
     # At smoke scale (18 items, k=10) the ANN path must fall back, and
-    # the benchmark table must say so instead of claiming LSH numbers.
+    # the benchmark table must say so instead of claiming IVF numbers.
     code = main(["bench-serve", "--dataset", "kwai_food", "--model",
                  "sasrec", "--profile", "smoke", "--requests", "8",
-                 "--batch", "4", "--retrieval", "lsh",
+                 "--batch", "4", "--retrieval", "ivf",
                  "--ann-min-items", "1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "retrieval=lsh" in out
+    assert "retrieval=ivf" in out
     assert "batched-exact-fallback-top10" in out
+
+
+def test_retrieval_accepts_only_exact_and_ivf(capsys):
+    parser = build_parser()
+    command = ["bench-serve", "--dataset", "kwai_food", "--retrieval"]
+    for backend in ("exact", "ivf"):
+        assert parser.parse_args(command + [backend]).retrieval == backend
+    with pytest.raises(SystemExit):
+        parser.parse_args(command + ["lsh"])
+    assert "invalid choice: 'lsh'" in capsys.readouterr().err
 
 
 def test_bench_serve_labels_engaged_ann_backend(capsys):
