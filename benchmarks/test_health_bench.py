@@ -96,8 +96,7 @@ def _firing(payload, rule):
 def _inject_worker_death(lines: list[str]) -> None:
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = PooledRecommendationService(registry, workers=2)
     monitor = service.enable_monitoring(
         interval_s=INTERVAL_S,
         rules=default_rules(window_s=RULE_WINDOW_S, cooldown_s=0.0))

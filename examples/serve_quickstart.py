@@ -32,7 +32,7 @@ def main() -> None:
               f"{info['index_nbytes'] / 1024:.0f} KiB)")
 
     # -- 2. the request API ------------------------------------------------
-    service = RecommendationService(registry, max_batch=16, max_wait_ms=2.0)
+    service = RecommendationService(registry, max_batch=16)
     scenario = registry.get("kwai_food", "sasrec")
     history = [int(i) for i in scenario.dataset.split.test[0].history]
     answer = service.recommend("kwai_food", "sasrec", history, k=5)

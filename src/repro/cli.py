@@ -84,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["float32", "float64"],
                        help="serving precision for models and indices")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="micro-batch flush size")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch flush timeout")
+                       help="widest micro-batch flush")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="LRU entries per scenario (0 disables)")
     serve.add_argument("--no-exclude-seen", action="store_true",
@@ -115,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--dtype", default="float32",
                         choices=["float32", "float64"])
     stream.add_argument("--max-batch", type=int, default=32)
-    stream.add_argument("--max-wait-ms", type=float, default=2.0)
     stream.add_argument("--cache-size", type=int, default=1024)
     stream.add_argument("--no-exclude-seen", action="store_true")
     stream.add_argument("--seed", type=int, default=0)
@@ -400,12 +397,11 @@ def _build_service(args):
         from .serve.pool import PooledRecommendationService
         service = PooledRecommendationService(
             registry, workers=workers, max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms, cache_size=args.cache_size)
+            cache_size=args.cache_size)
         print(f"worker pool: {workers} processes "
               f"(shared-memory catalogues, generation-fenced swaps)")
         return service
     return RecommendationService(registry, max_batch=args.max_batch,
-                                 max_wait_ms=args.max_wait_ms,
                                  cache_size=args.cache_size)
 
 

@@ -3,11 +3,15 @@
 The numpy substrate's throughput scales with batch width (one user
 encoder pass over ``(B, L, d)`` costs barely more than over
 ``(1, L, d)``), so the server queues incoming requests and flushes them
-as one ``recommend_batch`` call when either the batch is full (*size*
-trigger) or the oldest request has waited ``max_wait_ms`` (*timeout*
-trigger). Repeat users hit an LRU cache keyed on the history hash, the
-requested ``k`` and the catalogue index version, and never reach the
-model at all.
+as one ``recommend_batch`` call. Flushing is work-conserving: whenever
+the worker thread is free and requests are queued, it flushes up to
+``max_batch`` of them at once. Requests that arrive while a flush runs
+go out together in the next one, so batches grow only while the model
+is busy and an idle batcher adds no wait. A flush of ``max_batch``
+requests counts under the *size* trigger, a narrower one under
+*timeout* (it went out before the batch was full). Repeat users hit an
+LRU cache keyed on the history hash, the requested ``k`` and the
+catalogue index version, and never reach the model at all.
 """
 
 from __future__ import annotations
@@ -93,13 +97,12 @@ class MicroBatcher:
     """
 
     def __init__(self, recommender: Recommender, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, cache_size: int = 1024,
-                 start: bool = True, metrics_label: str | None = None):
+                 cache_size: int = 1024, start: bool = True,
+                 metrics_label: str | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.recommender = recommender
         self.max_batch = max_batch
-        self.max_wait = max_wait_ms / 1000.0
         self.cache = LRUCache(cache_size)
         # The registry instruments are the only accounting: /stats and
         # /metrics both read them. Scenario-labeled, so every hot-swap
@@ -176,9 +179,10 @@ class MicroBatcher:
     def queue_depth(self) -> int:
         """Requests queued and not yet flushed (approximate, lock-free).
 
-        A sustained non-zero depth on ``/stats`` means flushes cannot
-        keep up with arrivals — the signal to raise ``max_batch`` or add
-        pool workers.
+        These are the requests that arrived during the running flush and
+        go out in the next one. A depth that stays above ``max_batch`` on
+        ``/stats`` means flushes cannot keep up with arrivals — the
+        signal to raise ``max_batch`` or add pool workers.
         """
         return len(self._pending)
 
@@ -247,7 +251,7 @@ class MicroBatcher:
                 pending.future.set_result(result)
 
     def flush_pending(self) -> int:
-        """Flush everything queued right now (manual mode); returns count."""
+        """Flush everything queued, ``max_batch`` at a time; returns count."""
         flushed = 0
         while True:
             with self._cond:
@@ -259,27 +263,15 @@ class MicroBatcher:
             flushed += len(batch)
 
     def _worker(self) -> None:
+        # Work-conserving: flush whatever is queued the moment the
+        # worker is free; arrivals during a flush form the next batch.
         while True:
             with self._cond:
                 while not self._pending and not self._closed:
                     self._cond.wait()
-                if self._closed and not self._pending:
+                if not self._pending:
                     return
-                # The clock runs from the *oldest request's arrival*, not
-                # from when the worker woke up — a request that queued
-                # while the previous batch executed must not wait a full
-                # extra max_wait.
-                deadline = self._pending[0].enqueued + self.max_wait
-                while (len(self._pending) < self.max_batch
-                       and not self._closed):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                trigger = ("size" if len(self._pending) >= self.max_batch
-                           else "timeout")
-                batch = self._drain()
-            self._execute(batch, trigger)
+            self.flush_pending()
 
     # -- lifecycle -----------------------------------------------------------
 

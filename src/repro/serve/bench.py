@@ -404,8 +404,7 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
                        worker_counts: tuple = (1, 2, 4),
                        requests: int = 512, client_threads: int = 8,
                        k: int = 10, dtype: str = "float32",
-                       max_batch: int = 32, max_wait_ms: float = 2.0,
-                       checkpoint: str | None = None,
+                       max_batch: int = 32, checkpoint: str | None = None,
                        include_inprocess: bool = True,
                        seed: int = 0) -> dict:
     """Measure ``/recommend`` QPS over HTTP at several pool sizes.
@@ -478,15 +477,13 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
     reports: list[BenchReport] = []
     for count in worker_counts:
         service = PooledRecommendationService(
-            registry, workers=int(count), max_batch=max_batch,
-            max_wait_ms=max_wait_ms)
+            registry, workers=int(count), max_batch=max_batch)
         try:
             reports.append(run_leg(f"pool-{count}w", service))
         finally:
             service.close()
     if include_inprocess:
-        service = RecommendationService(registry, max_batch=max_batch,
-                                        max_wait_ms=max_wait_ms)
+        service = RecommendationService(registry, max_batch=max_batch)
         try:
             reports.append(run_leg("in-process", service))
         finally:

@@ -265,7 +265,6 @@ def _adopt(registry: ModelRegistry, spec, model, base_dataset,
     scenario = registry.build_scenario(spec, dataset, model, index=index)
     batcher = MicroBatcher(scenario.recommender,
                            max_batch=settings["max_batch"],
-                           max_wait_ms=settings["max_wait_ms"],
                            cache_size=settings["cache_size"],
                            start=settings["batching"],
                            metrics_label=f"{spec.key[0]}:{spec.key[1]}")
@@ -430,9 +429,8 @@ class WorkerPool:
     """Fork N serving processes and dispatch requests/fences over pipes."""
 
     def __init__(self, registry: ModelRegistry, workers: int = 2,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024, batching: bool = True,
-                 fence_timeout_s: float = 60.0):
+                 max_batch: int = 32, cache_size: int = 1024,
+                 batching: bool = True, fence_timeout_s: float = 60.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if len(registry) == 0:
@@ -441,8 +439,8 @@ class WorkerPool:
         context = _fork_context()
         self.registry = registry
         self.fence_timeout_s = fence_timeout_s
-        self._settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                          "cache_size": cache_size, "batching": batching}
+        self._settings = {"max_batch": max_batch, "cache_size": cache_size,
+                          "batching": batching}
         self._store = SharedCatalogStore()
         self._seq = itertools.count(1)
         self._rr = 0
@@ -822,12 +820,10 @@ class PooledRecommendationService(SelfMonitoring):
     """
 
     def __init__(self, registry: ModelRegistry, workers: int = 2,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024, batching: bool = True,
-                 fence_timeout_s: float = 60.0):
+                 max_batch: int = 32, cache_size: int = 1024,
+                 batching: bool = True, fence_timeout_s: float = 60.0):
         super().__init__(registry, max_batch=max_batch,
-                         max_wait_ms=max_wait_ms, cache_size=cache_size,
-                         batching=batching)
+                         cache_size=cache_size, batching=batching)
         self.pool = WorkerPool(registry, workers=workers,
                                fence_timeout_s=fence_timeout_s,
                                **self.settings)

@@ -103,10 +103,10 @@ class SelfMonitoring:
     monitor = None      # set by enable_monitoring()
 
     def __init__(self, registry: ModelRegistry, max_batch: int,
-                 max_wait_ms: float, cache_size: int, batching: bool):
+                 cache_size: int, batching: bool):
         self.registry = registry
-        self.settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                         "cache_size": cache_size, "batching": batching}
+        self.settings = {"max_batch": max_batch, "cache_size": cache_size,
+                         "batching": batching}
         self.stream = None          # attached via attach_stream()
         self._closed = False
         # End-to-end latency per scenario lives in log-bucketed
@@ -249,11 +249,9 @@ class RecommendationService(SelfMonitoring):
     """Route requests to scenarios, micro-batching each scenario's load."""
 
     def __init__(self, registry: ModelRegistry, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, cache_size: int = 1024,
-                 batching: bool = True):
+                 cache_size: int = 1024, batching: bool = True):
         super().__init__(registry, max_batch=max_batch,
-                         max_wait_ms=max_wait_ms, cache_size=cache_size,
-                         batching=batching)
+                         cache_size=cache_size, batching=batching)
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._lock = threading.Lock()
 
@@ -275,7 +273,6 @@ class RecommendationService(SelfMonitoring):
                 settings = self.settings
                 existing = MicroBatcher(
                     scenario.recommender, max_batch=settings["max_batch"],
-                    max_wait_ms=settings["max_wait_ms"],
                     cache_size=settings["cache_size"],
                     start=settings["batching"],
                     metrics_label=f"{key[0]}:{key[1]}")

@@ -484,12 +484,11 @@ class FineTuneWorker:
     # -- the background loop (worker thread) ---------------------------------
 
     def _loop(self) -> None:
-        # Same size-or-timeout trigger as the request micro-batcher: a
-        # round starts when enough events queued *or* the oldest pending
-        # event has waited round_timeout_s (a trickle still gets
-        # learned). With nothing pending the wait is untimed — ingest()
-        # and close() notify — so an idle worker never spins the
-        # scheduler.
+        # A size-or-timeout trigger: a round starts when enough events
+        # queued *or* the oldest pending event has waited
+        # round_timeout_s (a trickle still gets learned). With nothing
+        # pending the wait is untimed — ingest() and close() notify — so
+        # an idle worker never spins the scheduler.
         while True:
             with self._cond:
                 deadline = None

@@ -35,8 +35,7 @@ def traced(tmp_path_factory):
     trace.configure(sample_rate=1.0, path=str(trace_log))
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = RecommendationService(registry, max_batch=8,
-                                    max_wait_ms=2.0, cache_size=64)
+    service = RecommendationService(registry, max_batch=8, cache_size=64)
     server = make_server(service, port=0, access_log=str(access_log))
     server.start_background()
     yield server, service, trace_log, access_log
@@ -163,11 +162,18 @@ def test_unknown_route_collapses_to_other_label(traced):
         _get_text(server, "/definitely/not/a/route")
     except urllib.error.HTTPError:
         pass
-    _, text = _get_text(server, "/metrics")
-    parsed = metrics.parse_prometheus(text)
-    other = [labels for (name, labels) in parsed
-             if name == "repro_http_requests_total"
-             and 'path="other"' in labels]
+    # The handler counts a request after its response is on the wire, so
+    # poll /metrics (bounded) instead of reading it once.
+    deadline = time.perf_counter() + 5.0
+    while True:
+        _, text = _get_text(server, "/metrics")
+        parsed = metrics.parse_prometheus(text)
+        other = [labels for (name, labels) in parsed
+                 if name == "repro_http_requests_total"
+                 and 'path="other"' in labels]
+        if other or time.perf_counter() >= deadline:
+            break
+        time.sleep(0.01)
     assert other, "unknown paths must collapse to the 'other' label"
     known = [labels for (name, labels) in parsed
              if name == "repro_http_requests_total"]

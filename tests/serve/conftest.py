@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import threading
 import uuid
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +67,35 @@ def counted(scenario: str = "default"):
         reason: count - was["fallbacks"].get(reason, 0)
         for reason, count in now["fallbacks"].items()
         if count != was["fallbacks"].get(reason, 0)}
+
+
+@contextlib.contextmanager
+def held_flush(recommender):
+    """Hold the first ``recommend_batch`` call until ``release`` is set.
+
+    The batcher flushes whenever its worker is free, so a test builds a
+    multi-request batch by holding one flush and queueing behind it.
+    Yields a namespace: ``entered`` is set once the held flush runs,
+    ``release`` lets it finish, and ``widths`` records every flush's
+    batch width in call order.
+    """
+    held = SimpleNamespace(entered=threading.Event(),
+                           release=threading.Event(), widths=[])
+    original = recommender.recommend_batch
+
+    def recommend_batch(histories, k=10):
+        held.widths.append(len(histories))
+        if len(held.widths) == 1:
+            held.entered.set()
+            assert held.release.wait(timeout=30), "held flush never released"
+        return original(histories, k=k)
+
+    recommender.recommend_batch = recommend_batch
+    try:
+        yield held
+    finally:
+        held.release.set()
+        del recommender.recommend_batch
 
 
 @pytest.fixture()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.serve import LRUCache, MicroBatcher
 
-from .conftest import counted, serving_counts
+from .conftest import counted, held_flush, serving_counts
 
 
 @pytest.fixture()
@@ -16,13 +16,16 @@ def histories(dataset):
 
 
 def test_flush_on_size_trigger(recommender, histories):
-    with counted() as delta, MicroBatcher(
-            recommender, max_batch=4, max_wait_ms=10_000.0,
-            cache_size=0) as batcher:
-        futures = [batcher.submit(h, k=3) for h in histories[:4]]
-        results = [f.result(timeout=30) for f in futures]
-    # The worker never had to wait out the clock: the 4th submit filled
-    # the batch.
+    with MicroBatcher(recommender, max_batch=4, cache_size=0) as batcher, \
+            held_flush(recommender) as held:
+        head = batcher.submit(histories[4], k=3)
+        assert held.entered.wait(timeout=30)
+        # Four requests queue behind the held flush and fill the next one.
+        with counted() as delta:
+            futures = [batcher.submit(h, k=3) for h in histories[:4]]
+            held.release.set()
+            results = [f.result(timeout=30) for f in futures]
+        head.result(timeout=30)
     assert delta["size_flushes"] >= 1
     assert delta["requests"] == 4
     for history, result in zip(histories[:4], results):
@@ -32,8 +35,7 @@ def test_flush_on_size_trigger(recommender, histories):
 
 def test_flush_on_timeout_trigger(recommender, histories):
     with counted() as delta, MicroBatcher(
-            recommender, max_batch=64, max_wait_ms=20.0,
-            cache_size=0) as batcher:
+            recommender, max_batch=64, cache_size=0) as batcher:
         future = batcher.submit(histories[0], k=3)
         result = future.result(timeout=30)
     assert delta["timeout_flushes"] == 1
@@ -44,22 +46,51 @@ def test_flush_on_timeout_trigger(recommender, histories):
 
 def test_coalescing_batches_fewer_than_requests(recommender, histories,
                                                 fresh_label):
-    with counted(fresh_label) as delta, MicroBatcher(
-            recommender, max_batch=6, max_wait_ms=50.0, cache_size=0,
-            metrics_label=fresh_label) as batcher:
-        futures = [batcher.submit(h, k=3) for h in histories]
-        for future in futures:
-            future.result(timeout=30)
+    with MicroBatcher(recommender, max_batch=6, cache_size=0,
+                      metrics_label=fresh_label) as batcher, \
+            held_flush(recommender) as held:
+        head = batcher.submit(histories[0], k=3)
+        assert held.entered.wait(timeout=30)
+        with counted(fresh_label) as delta:
+            futures = [batcher.submit(h, k=3) for h in histories]
+            held.release.set()
+            for future in futures:
+                future.result(timeout=30)
+        head.result(timeout=30)
     assert delta["requests"] == len(histories)
     assert delta["batches"] < len(histories)
     # A fresh label: the high-water gauge saw only this batcher.
     assert serving_counts(fresh_label)["largest_batch"] > 1
 
 
+def test_requests_queued_during_a_flush_share_the_next_one(recommender,
+                                                          histories):
+    with MicroBatcher(recommender, max_batch=8, cache_size=0) as batcher, \
+            held_flush(recommender) as held:
+        head = batcher.submit(histories[0], k=3)
+        assert held.entered.wait(timeout=30)
+        with counted() as delta:
+            queued = [batcher.submit(h, k=3) for h in histories[1:6]]
+            assert batcher.queue_depth == 5
+            held.release.set()
+            results = [f.result(timeout=30) for f in queued]
+        head.result(timeout=30)
+        # The batcher is idle now: a lone request goes straight out,
+        # alone, without waiting for batch-mates.
+        with counted() as lone:
+            batcher.recommend(histories[6], k=3)
+    assert held.widths == [1, 5, 1]
+    assert delta["batches"] == 1 and delta["timeout_flushes"] == 1
+    assert delta["requests"] == 5
+    assert lone["batches"] == 1 and lone["timeout_flushes"] == 1
+    for history, result in zip(histories[1:6], results):
+        expected = recommender.recommend(history, k=3)
+        assert np.array_equal(result.items, expected.items)
+
+
 def test_lru_cache_hit_and_miss_accounting(recommender, histories):
     with counted() as delta, MicroBatcher(
-            recommender, max_batch=4, max_wait_ms=5.0,
-            cache_size=8) as batcher:
+            recommender, max_batch=4, cache_size=8) as batcher:
         first = batcher.recommend(histories[0], k=3)
         assert first.cached is False
         again = batcher.recommend(histories[0], k=3)
@@ -73,8 +104,7 @@ def test_lru_cache_hit_and_miss_accounting(recommender, histories):
 
 
 def test_stale_index_bypasses_cache_until_rebuilt(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
+    with MicroBatcher(recommender, max_batch=4, cache_size=8) as batcher:
         first = batcher.recommend(histories[0], k=3)
         # Weight update: version number still names the old snapshot, so
         # the cached answer must not be served.
@@ -89,8 +119,7 @@ def test_stale_index_bypasses_cache_until_rebuilt(recommender, histories):
 
 def test_cache_invalidated_by_index_refresh(recommender, histories):
     with counted() as delta, MicroBatcher(
-            recommender, max_batch=4, max_wait_ms=5.0,
-            cache_size=8) as batcher:
+            recommender, max_batch=4, cache_size=8) as batcher:
         batcher.recommend(histories[0], k=3)
         recommender.refresh()          # new index version => new cache keys
         refreshed = batcher.recommend(histories[0], k=3)
@@ -168,8 +197,7 @@ def test_malformed_request_fails_alone(recommender, histories):
 
 def test_results_are_frozen_so_cache_cannot_be_corrupted(recommender,
                                                          histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
+    with MicroBatcher(recommender, max_batch=4, cache_size=8) as batcher:
         first = batcher.recommend(histories[0], k=3)
         with pytest.raises(ValueError):
             first.items[0] = -1        # shared with the LRU: read-only

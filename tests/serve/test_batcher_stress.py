@@ -1,7 +1,7 @@
 """Concurrency stress for the MicroBatcher: no drops, no dupes, no stale.
 
-Many client threads hammer one batcher across flush-on-size and
-flush-on-timeout boundaries; every single future must resolve to the
+Many client threads hammer one batcher across full and partial flush
+boundaries; every single future must resolve to the
 same answer direct retrieval gives, the request/response accounting
 must balance exactly, and a mid-flight ``refresh()`` must invalidate
 LRU entries through the version key rather than serving pre-refresh
@@ -52,7 +52,7 @@ def test_threaded_stress_no_dropped_or_duplicated_responses(recommender,
     responses: list = []
     errors: list = []
     with counted(fresh_label) as stats, MicroBatcher(
-            recommender, max_batch=4, max_wait_ms=1.0, cache_size=64,
+            recommender, max_batch=4, cache_size=64,
             metrics_label=fresh_label) as batcher:
         threads = [threading.Thread(
             target=_hammer,
@@ -95,8 +95,7 @@ def test_stress_across_refresh_keeps_answers_and_versions_sane(
             recommender.refresh()
             stop.wait(0.002)
 
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=1.0,
-                      cache_size=64) as batcher:
+    with MicroBatcher(recommender, max_batch=4, cache_size=64) as batcher:
         churn = threading.Thread(target=refresher)
         threads = [threading.Thread(
             target=_hammer,
@@ -126,8 +125,7 @@ def test_stress_across_refresh_keeps_answers_and_versions_sane(
 def test_lru_entries_invalidate_after_refresh(recommender, request_pool):
     pool, _ = request_pool
     history, k = pool[0]
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=1.0,
-                      cache_size=64) as batcher:
+    with MicroBatcher(recommender, max_batch=4, cache_size=64) as batcher:
         first = batcher.recommend(history, k=k)
         assert batcher.recommend(history, k=k).cached is True
         new_version = recommender.refresh()

@@ -33,8 +33,7 @@ def registry():
 
 @pytest.fixture(scope="module")
 def pooled(registry):
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = PooledRecommendationService(registry, workers=2)
     yield service
     service.close()
 

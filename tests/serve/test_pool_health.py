@@ -34,8 +34,7 @@ WINDOW_S = 5.0
 def pooled():
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = PooledRecommendationService(registry, workers=2)
     yield service
     service.close()
 
@@ -129,8 +128,7 @@ def test_clean_shutdown_never_counts_as_worker_death():
     deaths = metrics.counter("repro_pool_worker_deaths_total")
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = PooledRecommendationService(registry, workers=2)
     before = deaths.value
     service.close()                     # orderly stop of both workers
     # close() marks every handle dead, but that sweep must not read as

@@ -4,22 +4,57 @@ Requests are validated when submitted to the micro-batcher, not inside
 the flush: a bad history or a non-positive ``k`` must be refused
 without failing (or, for ``k``, silently answering and caching) the
 valid requests that would have been flushed in the same batch. Each
-case issues its requests at once behind a long flush wait, so they
-share one batch.
+case first sends a slow sentinel request, then issues its requests at
+once while the sentinel's flush runs, so they queue behind it and
+share the next batch.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import os
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.serve import ModelRegistry, RecommendationService
 from repro.serve.pool import PooledRecommendationService
+from repro.serve.recommender import Recommender
 
-# Long enough that every request of a case lands in one flush.
-WAIT_MS = 200.0
+# A sentinel history is SENTINEL_PREFIX plus a fresh item, so it never
+# hits the cache. Its flush sleeps long enough that every request of a
+# case queues behind it and lands in the one flush that follows.
+SENTINEL_PREFIX = [1] * 8
+SENTINEL_SLEEP_S = 0.3
+_SENTINELS = itertools.count(1)
+# Set by the sentinel's flush; made before any pool fork, so forked
+# workers signal the test process through it.
+_SENTINEL_FLUSHING = multiprocessing.get_context("fork").Event()
+
+
+def _is_sentinel(history) -> bool:
+    history = np.asarray(history)
+    return (len(history) == len(SENTINEL_PREFIX) + 1
+            and bool((history[:-1] == SENTINEL_PREFIX).all()))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def slow_sentinel_flush():
+    """Make a batch holding a sentinel history sleep (both tiers)."""
+    original = Recommender.recommend_batch
+
+    def recommend_batch(self, histories, k=10):
+        if any(_is_sentinel(h) for h in histories):
+            _SENTINEL_FLUSHING.set()
+            time.sleep(SENTINEL_SLEEP_S)
+        return original(self, histories, k=k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Recommender, "recommend_batch", recommend_batch)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +70,9 @@ def service(request, registry):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shared memory filesystem required")
         # One worker, so every request reaches the same batcher.
-        svc = PooledRecommendationService(registry, workers=1,
-                                          max_wait_ms=WAIT_MS)
+        svc = PooledRecommendationService(registry, workers=1)
     else:
-        svc = RecommendationService(registry, max_wait_ms=WAIT_MS)
+        svc = RecommendationService(registry)
     yield svc
     svc.close()
 
@@ -49,9 +83,19 @@ def _history(registry, row: int) -> list[int]:
 
 
 def _concurrently(service, requests) -> list:
-    """Issue ``(history, k)`` requests at once; one payload or error each."""
+    """Issue ``(history, k)`` requests at once; one payload or error each.
+
+    They are sent while a sentinel request's slow flush runs, so they
+    all queue and share the next flush.
+    """
     barrier = threading.Barrier(len(requests))
     outcomes: list = [None] * len(requests)
+    sentinel = SENTINEL_PREFIX + [next(_SENTINELS)]
+    _SENTINEL_FLUSHING.clear()
+    head = threading.Thread(target=service.recommend,
+                            args=("kwai_food", "sasrec", sentinel))
+    head.start()
+    assert _SENTINEL_FLUSHING.wait(timeout=30)
 
     def call(slot, history, k):
         barrier.wait()
@@ -65,7 +109,7 @@ def _concurrently(service, requests) -> list:
                for slot, req in enumerate(requests)]
     for thread in threads:
         thread.start()
-    for thread in threads:
+    for thread in [head] + threads:
         thread.join(timeout=60)
         assert not thread.is_alive()
     return outcomes

@@ -21,8 +21,7 @@ from repro.serve import ModelRegistry, RecommendationService, make_server
 def service():
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add_all("kwai_food:sasrec,bili_food:pmmrec-text")
-    svc = RecommendationService(registry, max_batch=8, max_wait_ms=2.0,
-                                cache_size=64)
+    svc = RecommendationService(registry, max_batch=8, cache_size=64)
     yield svc
     svc.close()
 

@@ -31,8 +31,7 @@ def _segments(prefix: str) -> list[str]:
 def _make_service(workers: int = 2) -> PooledRecommendationService:
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    return PooledRecommendationService(registry, workers=workers,
-                                       max_wait_ms=1.0)
+    return PooledRecommendationService(registry, workers=workers)
 
 
 def _history(service) -> list[int]:

@@ -41,8 +41,7 @@ RETRIEVAL = {"retrieval": str, "min_ann_items": int, "ann_batches": int,
              "exact_batches": int, "fallbacks": dict}
 LATENCY = {"count": int, "sum": float, "p50": float, "p95": float,
            "p99": float, "mean": float}
-SETTINGS = {"max_batch": int, "max_wait_ms": float, "cache_size": int,
-            "batching": bool}
+SETTINGS = {"max_batch": int, "cache_size": int, "batching": bool}
 POOL = {"mode": str, "workers": int, "alive": int, "generations": dict,
         "fence": dict, "per_worker": list}
 FENCE_KEYS = {"state", "scenario", "generation", "acked", "errors", "ms",
@@ -84,7 +83,7 @@ def _registry() -> ModelRegistry:
 
 @pytest.fixture(scope="module")
 def in_process():
-    service = RecommendationService(_registry(), max_wait_ms=1.0)
+    service = RecommendationService(_registry())
     yield service
     service.close()
 
@@ -93,8 +92,7 @@ def in_process():
 def pooled():
     if not os.path.isdir("/dev/shm"):
         pytest.skip("POSIX shared memory filesystem required")
-    service = PooledRecommendationService(_registry(), workers=2,
-                                          max_wait_ms=1.0)
+    service = PooledRecommendationService(_registry(), workers=2)
     yield service
     service.close()
 

@@ -172,8 +172,7 @@ def pool_stressed():
     """
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:pmmrec-text", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = PooledRecommendationService(registry, workers=2)
     manager = StreamManager(service,
                             StreamConfig(batch_size=4, steps_per_swap=2,
                                          seed=0),

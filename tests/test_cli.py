@@ -81,6 +81,18 @@ def test_retrieval_accepts_only_exact_and_ivf(capsys):
     assert "invalid choice: 'lsh'" in capsys.readouterr().err
 
 
+def test_serve_and_stream_have_no_flush_timer(capsys):
+    # The batcher flushes as soon as it is free; there is no wait to set.
+    parser = build_parser()
+    for command in ("serve", "stream"):
+        argv = [command, "--scenarios", "kwai_food:sasrec"]
+        assert parser.parse_args(argv + ["--max-batch", "2"]).max_batch == 2
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--max-wait-ms", "2"])
+        assert "unrecognized arguments: --max-wait-ms" in \
+            capsys.readouterr().err
+
+
 def test_bench_serve_labels_engaged_ann_backend(capsys):
     code = main(["bench-serve", "--dataset", "hm", "--model", "sasrec",
                  "--profile", "paper", "--requests", "8", "--batch", "4",
