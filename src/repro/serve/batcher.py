@@ -92,8 +92,9 @@ class MicroBatcher:
 
     ``submit`` returns a ``concurrent.futures.Future``; ``recommend`` is
     the blocking convenience wrapper. Construct with ``start=False`` to
-    drive flushing manually via :meth:`flush_pending` (used by tests and
-    the offline benchmark, where a background thread only adds noise).
+    drive flushing manually via :meth:`flush_pending` (used by pool
+    workers, whose receive loop flushes, and by tests and the offline
+    benchmark, where a background thread only adds noise).
     """
 
     def __init__(self, recommender: Recommender, max_batch: int = 32,
@@ -180,9 +181,10 @@ class MicroBatcher:
         """Requests queued and not yet flushed (approximate, lock-free).
 
         These are the requests that arrived during the running flush and
-        go out in the next one. A depth that stays above ``max_batch`` on
-        ``/stats`` means flushes cannot keep up with arrivals — the
-        signal to raise ``max_batch`` or add pool workers.
+        go out in the next one (a pool worker leaves those in its pipe,
+        so its depth reads 0 between flushes). A depth that stays above
+        ``max_batch`` on ``/stats`` means flushes cannot keep up with
+        arrivals — the signal to raise ``max_batch`` or add pool workers.
         """
         return len(self._pending)
 

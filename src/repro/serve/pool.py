@@ -15,7 +15,8 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
   registry's datasets and models transfer by copy-on-write page, never
   by pickle) and dispatches requests over per-worker pipes. Each worker
   runs its own :class:`~repro.serve.batcher.MicroBatcher`, so batching
-  still amortizes GEMMs inside every process.
+  still amortizes GEMMs inside every process; the worker's main loop
+  flushes it whenever the pipe runs empty (no batcher thread).
 * Hot swaps run through a **generation fence**: the parent publishes
   the new generation's segment, sends a ``swap`` control message down
   every worker pipe, and waits for every live worker to ack before the
@@ -263,10 +264,10 @@ def _adopt(registry: ModelRegistry, spec, model, base_dataset,
     index = FrozenCatalogIndex(views["catalog"], version=version,
                                num_items=num_items)
     scenario = registry.build_scenario(spec, dataset, model, index=index)
+    # No batcher thread: the worker's main loop flushes (_worker_main).
     batcher = MicroBatcher(scenario.recommender,
                            max_batch=settings["max_batch"],
-                           cache_size=settings["cache_size"],
-                           start=settings["batching"],
+                           cache_size=settings["cache_size"], start=False,
                            metrics_label=f"{spec.key[0]}:{spec.key[1]}")
     return _WorkerScenario(spec=spec, model=model, base_dataset=base_dataset,
                            segment=segment, recommender=scenario.recommender,
@@ -324,12 +325,10 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
                              info["version"], info["num_items"],
                              info["generation"], model_changed=False,
                              settings=settings)
-    send_lock = threading.Lock()
 
     def reply(message) -> None:
         try:
-            with send_lock:
-                conn.send(message)
+            conn.send(message)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             pass
 
@@ -340,9 +339,18 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
         else:
             reply(("res", req_id, future.result().to_json()))
 
+    # The loop itself is the work-conserving flusher: it submits every
+    # request already in the pipe, and once the pipe is empty it flushes
+    # them as one batch before it blocks. Requests that arrive during a
+    # flush wait in the pipe and go out together in the next one. One
+    # thread receives, flushes and replies, so a request never waits for
+    # a second thread to be woken.
     running = True
     while running:
         try:
+            if not (settings["batching"] and conn.poll(0)):
+                for state in states.values():
+                    state.batcher.flush_pending()
             message = conn.recv()
         except (EOFError, OSError):        # parent died or closed us out
             break

@@ -60,6 +60,22 @@ def test_pooled_matches_in_process_bitwise(registry, pooled):
             assert payload["latency_ms"] > 0.0
 
 
+def test_unbatched_pool_flushes_each_request_alone(registry):
+    service = PooledRecommendationService(registry, workers=1,
+                                          batching=False)
+    try:
+        before = service.stats()["scenarios"]["kwai_food:sasrec"]
+        for row in range(3):
+            history = _history(registry, "kwai_food", "sasrec", row)
+            payload = service.recommend("kwai_food", "sasrec", history, k=5)
+            assert len(payload["items"]) == 5
+        after = service.stats()["scenarios"]["kwai_food:sasrec"]
+        assert after["batches"] - before["batches"] == 3
+        assert after["cache_misses"] - before["cache_misses"] == 3
+    finally:
+        service.close()
+
+
 def test_requests_spread_across_workers(registry, pooled):
     history = _history(registry, "kwai_food", "sasrec")
     for _ in range(6):

@@ -115,6 +115,18 @@ def _concurrently(service, requests) -> list:
     return outcomes
 
 
+def test_requests_queued_behind_a_flush_share_one_batch(service, registry):
+    # The guarantee every case below relies on: the requests sent while
+    # the sentinel's flush runs go out together in the next flush.
+    before = service.stats()["scenarios"]["kwai_food:sasrec"]
+    outcomes = _concurrently(service, [(_history(registry, row), 4)
+                                       for row in range(10, 14)])
+    assert all(isinstance(payload, dict) for payload in outcomes), outcomes
+    after = service.stats()["scenarios"]["kwai_food:sasrec"]
+    assert after["requests"] - before["requests"] == 5
+    assert after["batches"] - before["batches"] == 2
+
+
 def test_bad_history_fails_only_its_own_request(service, registry):
     num_items = registry.get("kwai_food", "sasrec").dataset.num_items
     outcomes = _concurrently(service, [
